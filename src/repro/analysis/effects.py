@@ -26,6 +26,19 @@ bottom-up over the call graph by the shared dataflow framework
     it is what tracer hooks exist to do -- but tracked so EFF001 can
     name exactly which state an ungated hook would touch.
 
+The nondeterminism-source kinds (:data:`SOURCE_KINDS`) are DET003's
+sources, classified by the catalog in :mod:`repro.analysis.taint`.
+Each function records only its *first* source (by line, then detail),
+because DET003 reports one path per source function:
+
+``reads-entropy``
+    a wall-clock read, unseeded RNG call, or OS entropy read -- unlike
+    ``consumes-rng``, never exempted inside the sanctioned facades;
+``reads-env``
+    an ``os.environ``/``os.getenv`` read;
+``iterates-set``
+    a loop or comprehension over a set expression.
+
 The zero-observer gate scan (:func:`find_gate_violations`) and the
 frozen-spec write scan (:func:`find_frozen_writes`) live here too, so
 the EFF rules stay thin adapters from these results to findings.
@@ -38,9 +51,16 @@ import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .dataflow import CallStep, DataflowAnalysis
+from .gates import TRACER_NAMES, scan_gates, write_root
 from .graph import CallGraph
 from .project import ClassInfo, FunctionInfo, ModuleInfo, ProjectModel
-from .taint import classify_entropy_call, _resolved_target
+from .source import dotted_name, resolve_target
+from .taint import (
+    classify_entropy_call,
+    classify_env_read,
+    is_set_expression,
+    iteration_sites,
+)
 
 #: Effect kinds that perturb the simulated system: what the zero-
 #: observer and cache-input contracts must prove absent.
@@ -51,12 +71,13 @@ ENGINE_EFFECT_KINDS = (
     "schedules-event",
 )
 
+#: DET003's nondeterminism sources (see the module docstring).
+SOURCE_KINDS = ("reads-entropy", "reads-env", "iterates-set")
+
 #: Name components marking observer-side state.  A write whose dotted
 #: target contains one of these is the observability layer doing its
-#: job, not an engine effect.
-OBSERVER_COMPONENTS = frozenset(
-    {"trace", "tracer", "trace_ctx", "_tracer", "observer"}
-)
+#: job, not an engine effect.  Also EFF001's gate handle names.
+OBSERVER_COMPONENTS = TRACER_NAMES | {"trace_ctx"}
 
 #: Class names that are observer-side wherever they are defined (the
 #: real ones live under ``observability/``; fixtures may not).
@@ -161,18 +182,12 @@ class EffectFact:
         return lines
 
 
-def hops_phrase(fact: EffectFact) -> str:
-    hops = len(fact.steps)
+def hops_phrase(steps: Tuple[CallStep, ...]) -> str:
+    """`` directly`` or `` through N call(s)`` for a witness chain."""
+    hops = len(steps)
     if not hops:
         return " directly"
     return f" through {hops} call{'s' if hops != 1 else ''}"
-
-
-def in_effect_scope(relpath: str, *dirs: str) -> bool:
-    """Whether a function's file sits under one of *dirs* (path
-    components, filename excluded) -- mirrors ``SourceFile.in_scope``."""
-    parts = relpath.split("/")[:-1]
-    return any(part in dirs for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +215,18 @@ def _dotted_parts(node: ast.expr) -> Optional[List[str]]:
             return parts
         else:
             return None
+
+
+def _annotation_name(annotation: ast.expr) -> Optional[str]:
+    """The class an annotation names: ``Optional[X]`` and string
+    annotations unwrap to the bare name."""
+    node = annotation
+    if isinstance(node, ast.Subscript):
+        node = node.slice
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.rsplit(".", 1)[-1].rsplit("[", 1)[0]
+    parts = _dotted_parts(node)
+    return parts[-1] if parts else None
 
 
 def _render_path(parts: List[str]) -> str:
@@ -249,15 +276,7 @@ class _FunctionScanner:
         self.sanctioned = self._collect_sanctioned()
 
     def _annotation_is_observer(self, annotation: ast.expr) -> bool:
-        node = annotation
-        # Unwrap Optional["..."] / string annotations to the bare name.
-        if isinstance(node, ast.Subscript):
-            node = node.slice
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            name = node.value.rsplit(".", 1)[-1].rsplit("[", 1)[0]
-            return name in self.observer_classes
-        parts = _dotted_parts(node)
-        return bool(parts) and parts[-1] in self.observer_classes
+        return _annotation_name(annotation) in self.observer_classes
 
     def _collect_aliases(self) -> None:
         """Local name -> expanded dotted path for ``x = self._ring``-style
@@ -388,12 +407,7 @@ class _FunctionScanner:
         found: List[Effect] = []
         func = node.func
         # object.__setattr__ escapes frozen-instance protection.
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "__setattr__"
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "object"
-        ):
+        if dotted_name(func) == "object.__setattr__":
             if not self.construction:
                 first = node.args[0] if node.args else None
                 parts = _dotted_parts(first) if first is not None else None
@@ -448,7 +462,7 @@ class _FunctionScanner:
                     )
                 )
             else:
-                dotted = _resolved_target(func, self.module)
+                dotted = resolve_target(func, self.module.imports)
                 if dotted is not None:
                     reason = classify_entropy_call(dotted)
                     if reason is not None and "wall-clock" not in reason:
@@ -492,7 +506,7 @@ class _FunctionScanner:
                 )
             )
         elif isinstance(func, ast.Attribute):
-            dotted = _resolved_target(func, self.module)
+            dotted = resolve_target(func, self.module.imports)
             if dotted is not None and any(
                 dotted == entry or (entry.endswith(".") and dotted.startswith(entry))
                 for entry in _IO_CALLS
@@ -523,8 +537,44 @@ def observer_class_names(model: ProjectModel) -> FrozenSet[str]:
 def function_effects(
     func: FunctionInfo, module: ModuleInfo, observer_classes: FrozenSet[str]
 ) -> List[Effect]:
-    """Local effects of one function (nested defs included)."""
+    """Local effects of one function (nested defs included), source
+    kinds aside (see :func:`first_source`)."""
     return _FunctionScanner(func, module, observer_classes).effects()
+
+
+def _sources_at(node: ast.AST, func: FunctionInfo, imports) -> List[Effect]:
+    """DET003 sources at *node*: catalogued entropy and environment
+    calls, ``os.environ`` chains, and loops over a set expression."""
+
+    def source(kind: str, detail: str, at: ast.AST, root: str = ""):
+        return Effect(kind, detail, func.relpath, at.lineno, at.col_offset, root)
+
+    if isinstance(node, ast.Call):
+        dotted = resolve_target(node.func, imports)
+        if dotted is not None and classify_entropy_call(dotted):
+            return [source("reads-entropy", f"call to {dotted}", node, dotted)]
+        if dotted is not None and classify_env_read(dotted):
+            return [source("reads-env", f"call to {dotted}", node, dotted)]
+        return []
+    if isinstance(node, ast.Attribute):
+        dotted = resolve_target(node, imports)
+        if dotted is not None and dotted.startswith("os.environ"):
+            return [source("reads-env", dotted, node, dotted)]
+        return []
+    return [
+        source("iterates-set", "iteration over a set", site)
+        for site in iteration_sites(node)
+        if is_set_expression(site)
+    ]
+
+
+def first_source(func: FunctionInfo, module: ModuleInfo) -> Optional[Effect]:
+    """The first nondeterminism source in *func* by (line, detail), with
+    no sanctioned-facade exemption; ``None`` when it has none."""
+    found: List[Effect] = []
+    for node in ast.walk(func.node):
+        found.extend(_sources_at(node, func, module.imports))
+    return min(found, key=lambda e: (e.line, e.detail), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +592,7 @@ class EffectAnalysis(DataflowAnalysis):
     """
 
     name = "effects"
-    version = "1"
+    version = "2"
 
     def __init__(self) -> None:
         self._observer_cache: Optional[Tuple[int, FrozenSet[str]]] = None
@@ -555,10 +605,13 @@ class EffectAnalysis(DataflowAnalysis):
     def local_facts(
         self, func: FunctionInfo, module: ModuleInfo, model: ProjectModel
     ) -> Dict[str, object]:
-        observers = self._observer_classes(model)
+        effects = function_effects(func, module, self._observer_classes(model))
+        source = first_source(func, module)
+        if source is not None:
+            effects.append(source)
         return {
             effect.key: EffectFact(steps=(), effect=effect)
-            for effect in function_effects(func, module, observers)
+            for effect in effects
         }
 
     def lift(
@@ -613,108 +666,6 @@ class GateViolation:
     column: int
     message: str
     trace: Tuple[str, ...] = ()
-
-
-_TERMINAL_STMTS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
-
-
-def _observer_names_in(test: ast.expr) -> FrozenSet[str]:
-    names: Set[str] = set()
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name) and node.id in OBSERVER_COMPONENTS:
-            names.add(node.id)
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in OBSERVER_COMPONENTS
-        ):
-            names.add(node.attr)
-    return frozenset(names)
-
-
-def _observer_receiver(func: ast.expr) -> Optional[str]:
-    if not isinstance(func, ast.Attribute):
-        return None
-    receiver = func.value
-    if isinstance(receiver, ast.Name) and receiver.id in OBSERVER_COMPONENTS:
-        return receiver.id
-    if (
-        isinstance(receiver, ast.Attribute)
-        and receiver.attr in OBSERVER_COMPONENTS
-    ):
-        return receiver.attr
-    return None
-
-
-def _suite_exits(body: List[ast.stmt]) -> bool:
-    return bool(body) and isinstance(body[-1], _TERMINAL_STMTS)
-
-
-class _GateWalker:
-    """Collect gated line spans and ungated observer touches, using the
-    same gate grammar the OBS001 rule recognizes (early-exit ``if x is
-    None`` gates the remainder; gate names accumulate into nested
-    suites)."""
-
-    def __init__(self) -> None:
-        #: (lineno, end_lineno) spans of tracer-gated statements.
-        self.gated_spans: List[Tuple[int, int]] = []
-        #: Ungated method calls on observer-named receivers.
-        self.ungated_calls: List[Tuple[ast.Call, str]] = []
-        #: Ungated writes rooted at an observer-named local.
-        self.ungated_writes: List[Tuple[ast.expr, str]] = []
-
-    def walk_suite(
-        self, statements: List[ast.stmt], guarded: FrozenSet[str]
-    ) -> None:
-        for statement in statements:
-            if isinstance(statement, ast.If):
-                names = _observer_names_in(statement.test)
-                if names:
-                    for gated in statement.body:
-                        self.gated_spans.append(
-                            (gated.lineno, gated.end_lineno or gated.lineno)
-                        )
-                self.walk_suite(statement.body, guarded | names)
-                self.walk_suite(statement.orelse, guarded)
-                if names and _suite_exits(statement.body):
-                    guarded = guarded | names
-                continue
-            self.walk_node(statement, guarded)
-
-    def walk_node(self, node: ast.AST, guarded: FrozenSet[str]) -> None:
-        if isinstance(node, ast.IfExp):
-            names = _observer_names_in(node.test)
-            self.walk_node(node.test, guarded | names)
-            self.walk_node(node.body, guarded | names)
-            self.walk_node(node.orelse, guarded)
-            return
-        if isinstance(node, ast.Call):
-            name = _observer_receiver(node.func)
-            if name is not None and name not in guarded:
-                self.ungated_calls.append((node, name))
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                parts = _dotted_parts(target)
-                if (
-                    parts is not None
-                    and len(parts) > 1
-                    and parts[0] in OBSERVER_COMPONENTS
-                    and parts[0] not in guarded
-                ):
-                    self.ungated_writes.append((target, parts[0]))
-        for _, value in ast.iter_fields(node):
-            if isinstance(value, list):
-                if value and isinstance(value[0], ast.stmt):
-                    self.walk_suite(value, guarded)
-                else:
-                    for item in value:
-                        if isinstance(item, ast.AST):
-                            self.walk_node(item, guarded)
-            elif isinstance(value, ast.AST):
-                self.walk_node(value, guarded)
 
 
 def observer_hooks(model: ProjectModel) -> Dict[str, FunctionInfo]:
@@ -782,13 +733,12 @@ def find_gate_violations(
     violations: List[GateViolation] = []
 
     for func in model.functions():
-        if not in_effect_scope(func.relpath, "simulator", "faults"):
-            continue
         module = model.modules[func.module]
-        walker = _GateWalker()
-        walker.walk_suite(func.node.body, frozenset())
+        if not module.source.in_scope("simulator", "faults"):
+            continue
+        scan = scan_gates(func.node.body, OBSERVER_COMPONENTS)
 
-        for call, name in walker.ungated_calls:
+        for call, name in scan.ungated_calls:
             method = (
                 call.func.attr if isinstance(call.func, ast.Attribute) else "?"
             )
@@ -814,7 +764,7 @@ def find_gate_violations(
                     trace=_hook_trace(func, call, hook, summaries),
                 )
             )
-        for target, name in walker.ungated_writes:
+        for target, name in scan.ungated_writes:
             parts = _dotted_parts(target) or [name]
             violations.append(
                 GateViolation(
@@ -829,11 +779,11 @@ def find_gate_violations(
                 )
             )
 
-        if not walker.gated_spans:
+        if not scan.gated_spans:
             continue
 
         def gated(line: int) -> bool:
-            return any(lo <= line <= hi for lo, hi in walker.gated_spans)
+            return any(lo <= line <= hi for lo, hi in scan.gated_spans)
 
         # Direct engine effects lexically inside a gated region.
         for effect in function_effects(func, module, observers):
@@ -883,7 +833,7 @@ def find_gate_violations(
                         message=(
                             f"observer gate in {func.fq} reaches "
                             f"{fact.effect.detail} ({fact.effect.kind})"
-                            f"{hops_phrase(lifted)}: gated tracing must "
+                            f"{hops_phrase(lifted.steps)}: gated tracing must "
                             "not touch the simulation"
                         ),
                         trace=tuple(
@@ -985,14 +935,7 @@ def find_frozen_writes(model: ProjectModel) -> List[FrozenWrite]:
         ):
             if arg.annotation is None:
                 continue
-            node = arg.annotation
-            if isinstance(node, ast.Subscript):
-                node = node.slice
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value.rsplit(".", 1)[-1].rsplit("[", 1)[0]
-            else:
-                parts = _dotted_parts(node)
-                name = parts[-1] if parts else None
+            name = _annotation_name(arg.annotation)
             if name in protected:
                 protected_params[arg.arg] = name
         if func.class_name in protected:
@@ -1006,13 +949,10 @@ def find_frozen_writes(model: ProjectModel) -> List[FrozenWrite]:
                     else [node.target]
                 )
                 for target in targets:
-                    parts = _dotted_parts(target)
-                    if (
-                        parts is not None
-                        and len(parts) > 1
-                        and parts[0] in protected_params
-                    ):
-                        cls = protected_params[parts[0]]
+                    root = write_root(target)
+                    if root in protected_params:
+                        parts = _dotted_parts(target)
+                        cls = protected_params[root]
                         writes.append(
                             FrozenWrite(
                                 relpath=func.relpath,
@@ -1027,10 +967,7 @@ def find_frozen_writes(model: ProjectModel) -> List[FrozenWrite]:
                         )
             elif (
                 isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "__setattr__"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "object"
+                and dotted_name(node.func) == "object.__setattr__"
             ):
                 first = node.args[0] if node.args else None
                 parts = _dotted_parts(first) if first is not None else None

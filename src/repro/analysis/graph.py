@@ -29,7 +29,8 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Tuple
 
-from .project import ClassInfo, FunctionInfo, ModuleInfo, ProjectModel, _dotted
+from .project import ClassInfo, FunctionInfo, ModuleInfo, ProjectModel
+from .source import dotted_name
 
 #: Calls to these bare names are Python syntax, not program structure.
 _BUILTIN_NAMES = frozenset(dir(builtins))
@@ -223,7 +224,7 @@ class CallResolver:
     ) -> Optional[ClassInfo]:
         """Type of a call's result: class constructors only (function
         return types are not chased)."""
-        dotted = _dotted(call.func)
+        dotted = dotted_name(call.func)
         if dotted is None:
             return None
         resolution = self.model._resolve_in(
@@ -265,7 +266,7 @@ class CallResolver:
             return "unresolved", name, None
         if isinstance(func, ast.Attribute):
             # 1. A dotted chain rooted at an import or module symbol.
-            dotted = _dotted(func)
+            dotted = dotted_name(func)
             if dotted is not None:
                 resolution = self.model._resolve_in(
                     module, dotted.split("."), dotted, 0

@@ -25,7 +25,8 @@ import ast
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .project import ModuleInfo, ProjectModel, _dotted
+from .project import ModuleInfo, ProjectModel
+from .source import dotted_name
 
 #: Class-base names that mark a class as an enum; members are then
 #: class-level assignments, and attribute access on *instances* goes
@@ -221,7 +222,7 @@ def _slots_strings(node: ast.ClassDef, relpath: str) -> List[Tuple[str, Loc]]:
 
 def _is_enum(node: ast.ClassDef) -> bool:
     for base in node.bases:
-        dotted = _dotted(base)
+        dotted = dotted_name(base)
         if dotted is not None and dotted.rsplit(".", 1)[-1] in _ENUM_BASES:
             return True
     return False
@@ -295,7 +296,7 @@ def python_error_templates(
             call = node.exc
             if not isinstance(call, ast.Call) or not call.args:
                 continue
-            dotted = _dotted(call.func)
+            dotted = dotted_name(call.func)
             if dotted is None:
                 continue
             if dotted.rsplit(".", 1)[-1] not in contract.error_classes:
@@ -431,7 +432,7 @@ def hot_path_hooks(
         for node in ast.walk(func.node):
             if not isinstance(node, ast.Attribute):
                 continue
-            chain = _dotted(node)
+            chain = dotted_name(node)
             if chain is None:
                 continue
             segments = chain.split(".")

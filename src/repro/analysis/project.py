@@ -28,39 +28,10 @@ import ast
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .source import SourceFile
-
-#: Leading path components stripped before deriving a module name (the
-#: conventional source roots).
-_SRC_ROOTS = ("src",)
+from .source import SourceFile, dotted_name, module_name_for, resolve_target
 
 #: Names that are binding statements but never interesting symbols.
 _IGNORED_BINDINGS = ("__all__",)
-
-
-def module_name_for(relpath: str) -> Optional[str]:
-    """Derive the dotted module name for a project-relative ``.py`` path.
-
-    >>> module_name_for("src/repro/simulator/service.py")
-    'repro.simulator.service'
-    >>> module_name_for("src/repro/core/__init__.py")
-    'repro.core'
-    >>> module_name_for("scripts/bench_runtime.py")
-    'scripts.bench_runtime'
-    """
-    parts = list(relpath.split("/"))
-    if not parts or not parts[-1].endswith(".py"):
-        return None
-    if parts[0] in _SRC_ROOTS and len(parts) > 1:
-        parts = parts[1:]
-    stem = parts[-1][: -len(".py")]
-    if stem == "__init__":
-        parts = parts[:-1]
-    else:
-        parts[-1] = stem
-    if not parts or not all(part.isidentifier() for part in parts):
-        return None
-    return ".".join(parts)
 
 
 @dataclasses.dataclass
@@ -106,8 +77,7 @@ class ModuleInfo:
     is_package: bool
     package: str  # enclosing package ("" at the top level)
 
-    #: Local name -> absolute dotted import target (relative imports
-    #: already resolved against the module's package).
+    #: The file's import table (:attr:`SourceFile.imports`).
     imports: Dict[str, str] = dataclasses.field(default_factory=dict)
 
     functions: Dict[str, FunctionInfo] = dataclasses.field(default_factory=dict)
@@ -154,6 +124,9 @@ class Resolution:
     def resolved(self) -> bool:
         return self.kind not in ("unknown",)
 
+
+#: Resolution kinds that name a project definition.
+_DEFINITION_KINDS = ("function", "class", "constant")
 
 _EXTERNAL = "external"
 _UNKNOWN = "unknown"
@@ -216,7 +189,7 @@ class ProjectModel:
             source=source,
             is_package=is_package,
             package=package,
-            imports=_absolute_imports(source.tree, package),
+            imports=source.imports,
             reference_only=reference_only,
         )
         _collect_symbols(info)
@@ -398,7 +371,7 @@ class ProjectModel:
         expr = _unwrap_annotation(expr)
         if expr is None:
             return None
-        dotted = _dotted(expr)
+        dotted = dotted_name(expr)
         if dotted is None:
             return None
         resolution = self._resolve_in(module, dotted.split("."), dotted, 0)
@@ -429,13 +402,11 @@ class ProjectModel:
         for module in self.all_modules():
             for target in sorted(set(module.imports.values())):
                 resolution = self.resolve_dotted(target)
-                if resolution.kind in ("function", "class", "constant"):
-                    record(resolution.fq, module.name)
-                elif resolution.kind == "module":
+                if resolution.kind in _DEFINITION_KINDS + ("module",):
                     record(resolution.fq, module.name)
             for dotted in sorted(_attribute_uses(module)):
                 resolution = self.resolve_dotted(dotted)
-                if resolution.kind in ("function", "class", "constant"):
+                if resolution.kind in _DEFINITION_KINDS:
                     record(resolution.fq, module.name)
         for users in index.values():
             users.sort()
@@ -458,25 +429,9 @@ class ProjectModel:
         refs: Dict[str, set] = {}
 
         def scan(owner: str, module: ModuleInfo, node: ast.AST) -> None:
-            for sub in ast.walk(node):
-                dotted: Optional[str] = None
-                if isinstance(sub, ast.Attribute):
-                    dotted = _dotted(sub)
-                elif isinstance(sub, ast.Name):
-                    dotted = sub.id
-                if dotted is None:
-                    continue
-                resolution = self._resolve_in(
-                    module,
-                    dotted.split("."),
-                    f"{module.name}.{dotted}",
-                    0,
-                )
-                if (
-                    resolution.kind in ("function", "class", "constant")
-                    and resolution.fq != owner
-                ):
-                    refs.setdefault(owner, set()).add(resolution.fq)
+            for fq in self._definitions_under(module, node):
+                if fq != owner:
+                    refs.setdefault(owner, set()).add(fq)
 
         for module in self.analyzed_modules():
             for func in module.functions.values():
@@ -517,23 +472,23 @@ class ProjectModel:
                     ),
                 ):
                     continue
-                for sub in ast.walk(stmt):
-                    dotted: Optional[str] = None
-                    if isinstance(sub, ast.Attribute):
-                        dotted = _dotted(sub)
-                    elif isinstance(sub, ast.Name):
-                        dotted = sub.id
-                    if dotted is None:
-                        continue
-                    resolution = self._resolve_in(
-                        module,
-                        dotted.split("."),
-                        f"{module.name}.{dotted}",
-                        0,
-                    )
-                    if resolution.kind in ("function", "class", "constant"):
-                        alive.add(resolution.fq)
+                alive.update(self._definitions_under(module, stmt))
         return sorted(alive)
+
+    def _definitions_under(
+        self, module: ModuleInfo, node: ast.AST
+    ) -> Iterable[str]:
+        """Fqs of the project definitions the Name/Attribute chains
+        under *node* resolve to, as seen from inside *module*."""
+        for sub in ast.walk(node):
+            dotted = dotted_name(sub)
+            if dotted is None:
+                continue
+            resolution = self._resolve_in(
+                module, dotted.split("."), f"{module.name}.{dotted}", 0
+            )
+            if resolution.kind in _DEFINITION_KINDS:
+                yield resolution.fq
 
     def string_mentions(self) -> Dict[str, List[str]]:
         """Map identifier-shaped string literal -> modules containing it.
@@ -581,34 +536,6 @@ class ProjectModel:
 # ---------------------------------------------------------------------------
 # AST extraction helpers.
 # ---------------------------------------------------------------------------
-
-
-def _absolute_imports(tree: ast.Module, package: str) -> Dict[str, str]:
-    """Local import bindings with relative levels resolved to absolute
-    dotted targets against *package*."""
-    table: Dict[str, str] = {}
-    pkg_parts = package.split(".") if package else []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    table[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    table[root] = root
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base_parts = (node.module or "").split(".") if node.module else []
-            else:
-                kept = pkg_parts[: len(pkg_parts) - (node.level - 1)]
-                base_parts = kept + (node.module.split(".") if node.module else [])
-            base = ".".join(part for part in base_parts if part)
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                table[local] = f"{base}.{alias.name}" if base else alias.name
-    return table
 
 
 def _collect_symbols(info: ModuleInfo) -> None:
@@ -735,17 +662,6 @@ def _extract_all(tree: ast.Module) -> Optional[Tuple[Tuple[str, ...], int]]:
     return None
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _unwrap_annotation(expr: ast.expr) -> Optional[ast.expr]:
     """Peel ``Optional[X]`` / ``"X"`` string annotations down to the
     name expression that carries the class."""
@@ -778,14 +694,8 @@ def _attribute_uses(module: ModuleInfo) -> List[str]:
     assert tree is not None
     uses: List[str] = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute):
-            continue
-        dotted = _dotted(node)
-        if dotted is None:
-            continue
-        root, _, rest = dotted.partition(".")
-        target = module.imports.get(root)
-        if target is None or not rest:
-            continue
-        uses.append(f"{target}.{rest}")
+        if isinstance(node, ast.Attribute):
+            dotted = resolve_target(node, module.imports)
+            if dotted is not None:
+                uses.append(dotted)
     return uses

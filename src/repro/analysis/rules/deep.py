@@ -14,7 +14,8 @@ from typing import Iterator, List
 
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
-from ..taint import TaintAnalysis, find_taint_paths
+from ..effects import EffectAnalysis, hops_phrase
+from ..taint import find_taint_paths
 from ..unitflow import UnitFlowAnalyzer, UnitSignatureAnalysis
 
 
@@ -41,14 +42,8 @@ class InterproceduralTaint(Rule):
     def check_project(self, context) -> Iterator[Finding]:
         model = context.project_model()
         graph = context.call_graph()
-        summaries = context.summaries(TaintAnalysis())
+        summaries = context.summaries(EffectAnalysis())
         for path in find_taint_paths(model, graph, summaries):
-            hops = len(path.steps)
-            via = (
-                f" through {hops} call{'s' if hops != 1 else ''}"
-                if hops
-                else " directly"
-            )
             yield Finding(
                 rule=self.name,
                 path=path.sink_relpath,
@@ -56,7 +51,8 @@ class InterproceduralTaint(Rule):
                 column=0,
                 message=(
                     f"{path.sink} ({path.sink_reason}) reaches "
-                    f"{path.source.detail} ({path.source.reason}){via}"
+                    f"{path.source.detail} ({path.source.reason})"
+                    f"{hops_phrase(path.steps)}"
                 ),
                 hint=(
                     "break the chain: thread the value through the "

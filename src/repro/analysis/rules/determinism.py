@@ -17,8 +17,8 @@ from typing import Iterator
 
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
-from ..taint import classify_entropy_call, is_set_expression
-from ._ast_util import import_map, resolve_target
+from ..source import resolve_target
+from ..taint import classify_entropy_call, is_set_expression, iteration_sites
 
 #: Directories whose code runs inside (or feeds) simulated execution.
 _SIMULATED_SCOPES = ("simulator", "runtime", "workloads")
@@ -43,11 +43,10 @@ class UnseededEntropy(Rule):
     def check(self, source, context) -> Iterator[Finding]:
         if not source.in_scope(*_SIMULATED_SCOPES):
             return
-        imports = import_map(source.tree)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
-            target = resolve_target(node.func, imports)
+            target = resolve_target(node.func, source.imports)
             if target is None:
                 continue
             reason = classify_entropy_call(target)
@@ -104,14 +103,8 @@ class UnorderedIteration(Rule):
         if not in_scope:
             return
         for node in ast.walk(source.tree):
-            sites = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                sites.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                sites.extend(generator.iter for generator in node.generators)
-            elif isinstance(node, ast.Call):
+            sites = iteration_sites(node)
+            if isinstance(node, ast.Call):
                 if (
                     isinstance(node.func, ast.Name)
                     and node.func.id in _ORDER_SENSITIVE_CALLS

@@ -26,7 +26,6 @@ from ..effects import (
     find_frozen_writes,
     find_gate_violations,
     hops_phrase,
-    in_effect_scope,
     observer_class_names,
 )
 from ..findings import Finding, Severity
@@ -79,7 +78,7 @@ class ZeroObserverPurity(Rule):
                     message=(
                         f"observability hook {func.fq} reaches "
                         f"{fact.effect.detail} ({fact.effect.kind})"
-                        f"{hops_phrase(fact)}: hooks must observe, "
+                        f"{hops_phrase(fact.steps)}: hooks must observe, "
                         "never perturb"
                     ),
                     hint=(
@@ -147,7 +146,7 @@ class EntropyBudget(Rule):
         }
 
         for func in model.functions():
-            if not in_effect_scope(func.relpath, *self._SCOPE):
+            if not model.modules[func.module].source.in_scope(*self._SCOPE):
                 continue
             if func.fq in sanctioned_fqs:
                 continue
@@ -262,7 +261,7 @@ class CacheInputEffectClosure(Rule):
                     message=(
                         f"{func.fq} ({reason}) reaches "
                         f"{fact.effect.detail} ({fact.effect.kind})"
-                        f"{hops_phrase(fact)}: cache inputs must be "
+                        f"{hops_phrase(fact.steps)}: cache inputs must be "
                         "effect-free"
                     ),
                     hint=(

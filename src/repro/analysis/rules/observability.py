@@ -17,35 +17,18 @@ every traced test run), so these rules pin it at both layers:
   put clock reads and record allocation into *untelemetered* runs,
   breaking the bit-identity the DET-rule family guarantees.
 
-Recognized gates::
-
-    trace = self.trace
-    if trace is not None:
-        trace.record_interval(...)          # gated
-
-    if tracer is None:
-        return                              # early exit gates the rest
-    tracer.begin_request(...)               # gated
-
-Violations::
-
-    self.tracer.record_interval(...)        # no gate at all
-    if enabled:
-        tracer.end_body(...)                # gate tests the wrong name
+The gate grammar itself lives in :mod:`repro.analysis.gates`, shared
+with EFF001's simulator-side scan.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Set, Tuple
+from typing import FrozenSet, Iterator, Tuple
 
 from ..findings import Finding, Severity
+from ..gates import TRACER_NAMES, scan_gates
 from ..registry import Rule, register_rule
-
-#: Receiver names treated as simulated-time observability handles.
-#: Matching is by the terminal name, so both a local ``tracer`` and an
-#: attribute ``self.trace`` are recognized.
-_TRACER_NAMES = frozenset({"trace", "tracer", "_tracer", "observer"})
 
 #: Receiver names treated as runtime self-telemetry handles.
 _TELEMETRY_NAMES = frozenset({
@@ -53,40 +36,9 @@ _TELEMETRY_NAMES = frozenset({
     "recorder",
 })
 
-#: Statements that end a suite, making a preceding ``if x is None:``
-#: an effective gate for everything after it.
-_TERMINAL = (ast.Return, ast.Raise, ast.Continue, ast.Break)
-
-
-def _handle_names_in(test: ast.expr, handles: FrozenSet[str]) -> FrozenSet[str]:
-    """Observer-handle names referenced anywhere in a gate expression."""
-    names: Set[str] = set()
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name) and node.id in handles:
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr in handles:
-            names.add(node.attr)
-    return frozenset(names)
-
-
-def _receiver_name(func: ast.expr, handles: FrozenSet[str]):
-    """The handle name a method call dispatches on, if any."""
-    if not isinstance(func, ast.Attribute):
-        return None
-    receiver = func.value
-    if isinstance(receiver, ast.Name) and receiver.id in handles:
-        return receiver.id
-    if isinstance(receiver, ast.Attribute) and receiver.attr in handles:
-        return receiver.attr
-    return None
-
-
-def _exits(body) -> bool:
-    return bool(body) and isinstance(body[-1], _TERMINAL)
-
 
 class _GatedEmission(Rule):
-    """Shared gate-accumulation walker for the OBS rule family.
+    """Shared finding shape for the OBS rule family.
 
     Subclasses set ``scopes`` (path components the rule applies to),
     ``handle_names`` (receiver names treated as observer handles), and
@@ -100,64 +52,24 @@ class _GatedEmission(Rule):
     def check(self, source, context) -> Iterator[Finding]:
         if not source.in_scope(*self.scopes):
             return
-        yield from self._visit_suite(source, source.tree.body, frozenset())
-
-    def _visit_suite(self, source, statements, guarded: FrozenSet[str]):
-        """Scan a statement suite left to right, accumulating gates from
-        early-exit ``if`` statements."""
-        for statement in statements:
-            if isinstance(statement, ast.If):
-                names = _handle_names_in(statement.test, self.handle_names)
-                yield from self._visit_suite(
-                    source, statement.body, guarded | names
-                )
-                yield from self._visit_suite(
-                    source, statement.orelse, guarded
-                )
-                if names and _exits(statement.body):
-                    guarded = guarded | names
-                continue
-            yield from self._visit_node(source, statement, guarded)
-
-    def _visit_node(self, source, node, guarded: FrozenSet[str]):
-        if isinstance(node, ast.IfExp):
-            names = _handle_names_in(node.test, self.handle_names)
-            yield from self._visit_node(source, node.test, guarded | names)
-            yield from self._visit_node(source, node.body, guarded | names)
-            yield from self._visit_node(source, node.orelse, guarded)
-            return
-        if isinstance(node, ast.Call):
-            name = _receiver_name(node.func, self.handle_names)
-            if name is not None and name not in guarded:
-                yield Finding(
-                    rule=self.name,
-                    path=source.relpath,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    message=(
-                        f"{self.handle_word} call {ast.unparse(node.func)}() "
-                        f"is not gated behind an `if {name} ...` check"
-                    ),
-                    hint=(
-                        f"bind the {self.handle_word} to a local and gate "
-                        f"the call: `{name} = self.{name}` / "
-                        f"`if {name} is not None: {name}.method(...)`"
-                    ),
-                    severity=self.severity,
-                )
-        for _, value in ast.iter_fields(node):
-            if isinstance(value, list):
-                if value and isinstance(value[0], ast.stmt):
-                    # A nested statement suite (function/loop/with/try
-                    # body): scan it sequentially so early-exit gates
-                    # accumulate at any depth.
-                    yield from self._visit_suite(source, value, guarded)
-                else:
-                    for item in value:
-                        if isinstance(item, ast.AST):
-                            yield from self._visit_node(source, item, guarded)
-            elif isinstance(value, ast.AST):
-                yield from self._visit_node(source, value, guarded)
+        scan = scan_gates(source.tree.body, self.handle_names)
+        for node, name in scan.ungated_calls:
+            yield Finding(
+                rule=self.name,
+                path=source.relpath,
+                line=node.lineno,
+                column=node.col_offset,
+                message=(
+                    f"{self.handle_word} call {ast.unparse(node.func)}() "
+                    f"is not gated behind an `if {name} ...` check"
+                ),
+                hint=(
+                    f"bind the {self.handle_word} to a local and gate "
+                    f"the call: `{name} = self.{name}` / "
+                    f"`if {name} is not None: {name}.method(...)`"
+                ),
+                severity=self.severity,
+            )
 
 
 @register_rule
@@ -177,7 +89,7 @@ class GatedObservability(_GatedEmission):
         "comparison when observability is off"
     )
     scopes = ("simulator", "faults")
-    handle_names = _TRACER_NAMES
+    handle_names = TRACER_NAMES
     handle_word = "tracer"
 
 

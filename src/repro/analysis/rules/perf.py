@@ -11,16 +11,13 @@ without failing any test -- so this rule pins them.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..findings import Finding, Severity
+from ..gates import TRACER_NAMES
 from ..registry import Rule, register_rule
-from ._ast_util import (
-    decorator_name,
-    import_map,
-    is_constant_true,
-    keyword_value,
-)
+from ..source import terminal_name
+from ._ast_util import decorator_name, is_constant_true, keyword_value
 
 #: Base classes that exempt a class from the slots requirement.
 _EXEMPT_BASES = {
@@ -56,26 +53,18 @@ _ALLOC_CALLS = {"dict", "list", "set"}
 #: ``begin_*``/``end_*`` lifecycle methods.
 _TRACER_HOT_PREFIXES = ("record", "mark_")
 
-#: Names a tracer is bound to at its call sites (mirrors OBS001).
-_TRACER_NAMES = {"trace", "tracer", "_tracer", "observer"}
-
-
 def _is_tracer_gate(test: ast.expr) -> bool:
-    """Whether *test* is (or contains) a ``<tracer> is not None`` check."""
+    """Whether *test* is (or contains) a ``<tracer> is not None`` check:
+    stricter than the OBS001 gate grammar, which accepts any test that
+    names the tracer."""
     for node in ast.walk(test):
         if not isinstance(node, ast.Compare):
             continue
         if not any(isinstance(op, ast.IsNot) for op in node.ops):
             continue
         operands = [node.left, *node.comparators]
-        for operand in operands:
-            if isinstance(operand, ast.Name) and operand.id in _TRACER_NAMES:
-                return True
-            if (
-                isinstance(operand, ast.Attribute)
-                and operand.attr in _TRACER_NAMES
-            ):
-                return True
+        if any(terminal_name(op) in TRACER_NAMES for op in operands):
+            return True
     return False
 
 
@@ -94,25 +83,13 @@ def _object_allocations(nodes) -> Iterator[tuple[ast.AST, str]]:
             ):
                 yield node, type(node).__name__.lower()
             elif isinstance(node, ast.Call):
-                name = None
-                if isinstance(node.func, ast.Name):
-                    name = node.func.id
-                elif isinstance(node.func, ast.Attribute):
-                    name = node.func.attr
+                name = terminal_name(node.func)
                 if name is None:
                     continue
                 if name in _ALLOC_CALLS:
                     yield node, f"{name}()"
                 elif name[:1].isupper() and not name.isupper():
                     yield node, f"{name}(...)"
-
-
-def _base_name(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
 
 
 def _has_slots(node: ast.ClassDef) -> bool:
@@ -156,11 +133,10 @@ class HotPathHygiene(Rule):
         )
         if not (in_simulator or tracer_module):
             return
-        imports = import_map(source.tree)
         for node in ast.walk(source.tree):
             if isinstance(node, ast.ClassDef):
                 if in_simulator:
-                    yield from self._check_class(source, node, imports)
+                    yield from self._check_class(source, node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if in_simulator and node.name in _HOT_FUNCTIONS:
                     yield from self._check_hot_function(source, node)
@@ -172,15 +148,15 @@ class HotPathHygiene(Rule):
                 if in_simulator and _is_tracer_gate(node.test):
                     yield from self._check_gated_hook(source, node)
 
-    def _check_class(self, source, node: ast.ClassDef, imports):
-        bases = {_base_name(base) for base in node.bases}
+    def _check_class(self, source, node: ast.ClassDef):
+        bases = {terminal_name(base) for base in node.bases}
         if bases & _EXEMPT_BASES:
             return
         if node.name.endswith(("Error", "Exception", "Warning")):
             return
         dataclass_dec = None
         for dec in node.decorator_list:
-            name = decorator_name(dec, imports)
+            name = decorator_name(dec, source.imports)
             if name in ("dataclass", "dataclasses.dataclass"):
                 dataclass_dec = dec
                 break

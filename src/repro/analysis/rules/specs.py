@@ -14,12 +14,8 @@ from typing import Iterator, Optional
 
 from ..findings import Finding, Severity
 from ..registry import Rule, register_rule
-from ._ast_util import (
-    decorator_name,
-    import_map,
-    is_constant_true,
-    keyword_value,
-)
+from ..source import terminal_name
+from ._ast_util import decorator_name, is_constant_true, keyword_value
 
 _MUTABLE_FACTORIES = ("list", "dict", "set", "bytearray")
 
@@ -48,11 +44,7 @@ def _is_frozen(decorator: ast.expr) -> bool:
 def _annotation_root(node: Optional[ast.expr]) -> Optional[str]:
     if isinstance(node, ast.Subscript):
         node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+    return terminal_name(node)
 
 
 @register_rule
@@ -72,11 +64,10 @@ class SpecFieldDefaults(Rule):
     )
 
     def check(self, source, context) -> Iterator[Finding]:
-        imports = import_map(source.tree)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            decorator = _dataclass_decorator(node, imports)
+            decorator = _dataclass_decorator(node, source.imports)
             if decorator is None:
                 continue
             frozen = _is_frozen(decorator)

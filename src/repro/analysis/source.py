@@ -10,15 +10,22 @@ flake8/ruff ``# noqa`` comments::
     risky_line()  # repro: noqa            -- suppress every rule here
     risky_line()  # repro: noqa[DET001]    -- suppress only DET001
     risky_line()  # repro: noqa[DET001,PERF001]
+
+Every name a rule resolves goes through one import table per file
+(:attr:`SourceFile.imports`, relative imports made absolute) and one
+resolver (:func:`resolve_target`), so the per-file rules and the
+whole-program model agree on what ``np.random.randint`` or ``from .
+import errors`` refers to.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 from pathlib import Path
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 #: Matches ``# repro: noqa`` with an optional ``[RULE,...]`` selector.
 _PRAGMA = re.compile(
@@ -27,6 +34,112 @@ _PRAGMA = re.compile(
 
 #: Sentinel rule-set meaning "suppress everything on this line".
 SUPPRESS_ALL: FrozenSet[str] = frozenset({"*"})
+
+#: Leading path components stripped before deriving a module name (the
+#: conventional source roots).
+_SRC_ROOTS = ("src",)
+
+
+def module_name_for(relpath: str) -> Optional[str]:
+    """Derive the dotted module name for a project-relative ``.py`` path.
+
+    >>> module_name_for("src/repro/simulator/service.py")
+    'repro.simulator.service'
+    >>> module_name_for("src/repro/core/__init__.py")
+    'repro.core'
+    >>> module_name_for("scripts/bench_runtime.py")
+    'scripts.bench_runtime'
+    """
+    parts = list(relpath.split("/"))
+    if not parts or not parts[-1].endswith(".py"):
+        return None
+    if parts[0] in _SRC_ROOTS and len(parts) > 1:
+        parts = parts[1:]
+    stem = parts[-1][: -len(".py")]
+    if stem == "__init__":
+        parts = parts[:-1]
+    else:
+        parts[-1] = stem
+    if not parts or not all(part.isidentifier() for part in parts):
+        return None
+    return ".".join(parts)
+
+
+def absolute_imports(
+    tree: ast.Module, package: Optional[str]
+) -> Dict[str, str]:
+    """Local import bindings with relative levels resolved to absolute
+    dotted targets against *package*.
+
+    ``import numpy as np`` binds ``np -> numpy``; ``from time import
+    time`` binds ``time -> time.time``; in package ``repro.simulator``,
+    ``from . import errors`` binds ``errors -> repro.simulator.errors``.
+    With no known package (a path that is not a module) a relative
+    target keeps its leading dots, so it never matches an absolute name.
+    """
+    table: Dict[str, str] = {}
+    pkg_parts = package.split(".") if package else []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    table[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    table[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                base = module
+            elif package is None:
+                base = "." * node.level + module
+            else:
+                kept = pkg_parts[: len(pkg_parts) - (node.level - 1)]
+                base = ".".join(kept + ([module] if module else []))
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                table[local] = f"{base}.{alias.name}" if base else alias.name
+    return table
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def terminal_name(node: ast.AST) -> Optional[str]:
+    """``c`` for a Name ``c`` or an attribute access ``....c``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def resolve_target(node: ast.AST, imports: Dict[str, str]) -> Optional[str]:
+    """Resolve a Name/Attribute chain through an import table.
+
+    ``np.random.randint`` with ``{"np": "numpy"}`` resolves to
+    ``numpy.random.randint``.  Returns ``None`` for targets whose root is
+    not an imported name (locals, attributes of self, ...).
+    """
+    dotted = dotted_name(node)
+    if dotted is None:
+        return None
+    root, _, rest = dotted.partition(".")
+    target = imports.get(root)
+    if target is None:
+        return None
+    return f"{target}.{rest}" if rest else target
 
 
 def parse_suppressions(text: str) -> Dict[int, FrozenSet[str]]:
@@ -142,6 +255,21 @@ class SourceFile:
             parse_error=error,
             suppressions=expand_suppressions(tree, parse_suppressions(text)),
         )
+
+    @functools.cached_property
+    def imports(self) -> Dict[str, str]:
+        """Local name -> absolute dotted import target (see
+        :func:`absolute_imports`), computed once per file."""
+        if self.tree is None:
+            return {}
+        module = module_name_for(self.relpath)
+        package = None
+        if module is not None:
+            package = (
+                module if self.name == "__init__.py"
+                else module.rpartition(".")[0]
+            )
+        return absolute_imports(self.tree, package)
 
     # -- path scoping ------------------------------------------------------
 

@@ -5,26 +5,28 @@ The per-file DET001/DET002 rules catch a wall-clock read *in* a
 simulated path; they cannot see one **three calls upstream of a cache
 key** -- a helper in one module reading ``time.time`` while a
 ``cache_key``/``fingerprint`` function in another module (transitively)
-calls it.  This pass can: it marks every function containing a
-*source* (wall clocks, unseeded RNGs, ``os.urandom``, environment
-reads, set-order-dependent iteration), then walks forward from every
-*sink* (cache-key construction, canonical fingerprints,
-``RunSummary`` assembly) through the call graph, reporting the full
-source -> sink call chain when they meet.
+calls it.  DET003 can: the effect analysis (:mod:`repro.analysis.effects`)
+records each function's first nondeterminism *source* (wall clocks,
+unseeded RNGs, ``os.urandom``, environment reads, set-order-dependent
+iteration) as an effect and propagates it up the call graph with the
+shortest witness chain; :func:`find_taint_paths` reads those summaries
+at every *sink* (cache-key construction, canonical fingerprints,
+``RunSummary`` assembly), reporting the full source -> sink call chain.
 
-This module also owns the entropy-call catalog; the syntactic DET001
-rule imports it from here so the two stay in lockstep.
+This module owns the entropy-call catalog and the sink set; the DET001
+rule and the effect scanner import them from here so all three stay in
+lockstep.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .dataflow import CallStep, DataflowAnalysis, compute_summaries
+from .dataflow import CallStep, compute_summaries
 from .graph import CallGraph
-from .project import FunctionInfo, ModuleInfo, ProjectModel
+from .project import FunctionInfo, ProjectModel
 
 #: Call targets that read ambient entropy: wall clocks and OS randomness.
 BANNED_CALLS = {
@@ -96,6 +98,18 @@ def is_set_expression(node: ast.expr) -> bool:
     return False
 
 
+def iteration_sites(node: ast.AST) -> List[ast.expr]:
+    """The iterables *node* loops over: a ``for`` loop's, or each
+    generator's in a comprehension."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.iter]
+    if isinstance(
+        node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    ):
+        return [generator.iter for generator in node.generators]
+    return []
+
+
 @dataclasses.dataclass(frozen=True)
 class TaintSource:
     """One nondeterminism source inside one function."""
@@ -107,10 +121,6 @@ class TaintSource:
     detail: str  # the offending target / construct
 
 
-#: One call edge on a source->sink path (the framework's witness step).
-TaintStep = CallStep
-
-
 @dataclasses.dataclass(frozen=True)
 class TaintPath:
     """A sink that transitively executes a nondeterminism source."""
@@ -119,7 +129,7 @@ class TaintPath:
     sink_relpath: str
     sink_line: int
     sink_reason: str
-    steps: Tuple[TaintStep, ...]
+    steps: Tuple[CallStep, ...]
     source: TaintSource
 
     def chain(self) -> List[str]:
@@ -127,97 +137,13 @@ class TaintPath:
         lines = [f"{self.sink} [{self.sink_reason}]"]
         for step in self.steps:
             lines.append(
-                f"-> calls {step.callee} "
-                f"(at {_caller_relpath(self, step)}:{step.line})"
+                f"-> calls {step.callee} (at {step.caller}:{step.line})"
             )
         lines.append(
             f"** {self.source.detail} ({self.source.reason}) at "
             f"{self.source.relpath}:{self.source.line}"
         )
         return lines
-
-
-def _caller_relpath(path: TaintPath, step: TaintStep) -> str:
-    # Steps are printed for orientation only; the caller file is the
-    # previous node's file, which readers recover from the fq name.
-    return step.caller
-
-
-# ---------------------------------------------------------------------------
-# Sources.
-# ---------------------------------------------------------------------------
-
-
-def function_sources(
-    func: FunctionInfo, module: ModuleInfo
-) -> List[TaintSource]:
-    """Nondeterminism sources directly inside *func* (nested defs
-    included: closures run on behalf of their enclosing function)."""
-    sources: List[TaintSource] = []
-
-    def add(line: int, reason: str, detail: str) -> None:
-        sources.append(
-            TaintSource(
-                fq=func.fq,
-                relpath=func.relpath,
-                line=line,
-                reason=reason,
-                detail=detail,
-            )
-        )
-
-    for node in ast.walk(func.node):
-        if isinstance(node, ast.Call):
-            dotted = _resolved_target(node.func, module)
-            if dotted is not None:
-                reason = classify_entropy_call(dotted)
-                if reason is not None:
-                    add(node.lineno, reason, f"call to {dotted}")
-                    continue
-                reason = classify_env_read(dotted)
-                if reason is not None:
-                    add(node.lineno, reason, f"call to {dotted}")
-                    continue
-        elif isinstance(node, ast.Attribute):
-            dotted = _resolved_target(node, module)
-            if dotted is not None and dotted.startswith("os.environ"):
-                add(node.lineno, "environment read", dotted)
-        for site in _set_iteration_sites(node):
-            add(
-                site.lineno,
-                "set-order-dependent iteration",
-                "iteration over a set",
-            )
-    return sources
-
-
-def _resolved_target(node: ast.AST, module: ModuleInfo) -> Optional[str]:
-    """Absolute dotted target of a Name/Attribute chain, through the
-    module's import table."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    parts.reverse()
-    target = module.imports.get(parts[0])
-    if target is None:
-        return None
-    return ".".join([target] + parts[1:])
-
-
-def _set_iteration_sites(node: ast.AST) -> Iterable[ast.expr]:
-    """Expressions iterated where the iterable is literally a set."""
-    sites: List[ast.expr] = []
-    if isinstance(node, (ast.For, ast.AsyncFor)):
-        sites.append(node.iter)
-    elif isinstance(
-        node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    ):
-        sites.extend(generator.iter for generator in node.generators)
-    return [site for site in sites if is_set_expression(site)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,69 +174,12 @@ def sink_reason(func: FunctionInfo) -> Optional[str]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Propagation (an instance of the shared dataflow framework).
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class TaintFact:
-    """This function transitively reaches the given source function.
-
-    ``steps`` is the witness call chain from the summarized function to
-    the source's enclosing function (empty when the source is local).
-    """
-
-    steps: Tuple[TaintStep, ...]
-    source: TaintSource
-
-
-class TaintAnalysis(DataflowAnalysis):
-    """Entropy reachability, keyed by source-function fq.
-
-    Facts flow from callee to caller with one call step prepended;
-    ``prefer`` keeps the shorter chain (ties keep the incumbent), which
-    together with the framework's sorted first-edge-per-callee order
-    reproduces the breadth-first shortest paths the pre-framework BFS
-    reported.
-    """
-
-    name = "taint"
-    version = "1"
-
-    def local_facts(
-        self, func: FunctionInfo, module: ModuleInfo, model: ProjectModel
-    ) -> Dict[str, object]:
-        found = function_sources(func, module)
-        if not found:
-            return {}
-        source = sorted(found, key=lambda s: (s.line, s.detail))[0]
-        return {func.fq: TaintFact(steps=(), source=source)}
-
-    def lift(
-        self,
-        fact: TaintFact,
-        caller: FunctionInfo,
-        line: int,
-        callee_fq: str,
-    ) -> TaintFact:
-        step = TaintStep(caller=caller.fq, line=line, callee=callee_fq)
-        return TaintFact(steps=(step,) + fact.steps, source=fact.source)
-
-    def prefer(self, old: TaintFact, new: TaintFact) -> TaintFact:
-        return new if len(new.steps) < len(old.steps) else old
-
-    def encode_fact(self, fact: TaintFact) -> object:
-        return {
-            "steps": [dataclasses.asdict(step) for step in fact.steps],
-            "source": dataclasses.asdict(fact.source),
-        }
-
-    def decode_fact(self, data: object) -> TaintFact:
-        return TaintFact(
-            steps=tuple(TaintStep(**step) for step in data["steps"]),
-            source=TaintSource(**data["source"]),
-        )
+def _source_reason(effect) -> str:
+    if effect.kind == "reads-entropy":
+        return classify_entropy_call(effect.root)
+    if effect.kind == "reads-env":
+        return "environment read"
+    return "set-order-dependent iteration"
 
 
 def find_taint_paths(
@@ -318,19 +187,32 @@ def find_taint_paths(
     graph: CallGraph,
     summaries: Optional[Dict[str, Dict[str, object]]] = None,
 ) -> List[TaintPath]:
-    """Shortest source->sink path for every (sink, source function) pair.
+    """Shortest source->sink path for every (sink, source function) pair,
+    read off the effect summaries (computed here when not given).
 
     Deterministic: the framework visits functions and call edges in
     sorted order, and the final report is sorted by sink location.
     """
+    from .effects import SOURCE_KINDS, EffectAnalysis
+
     if summaries is None:
-        summaries = compute_summaries(model, graph, TaintAnalysis())
+        summaries = compute_summaries(model, graph, EffectAnalysis())
     paths: List[TaintPath] = []
     for func in model.functions():
         reason = sink_reason(func)
         if reason is None:
             continue
         for fact in summaries.get(func.fq, {}).values():
+            effect = fact.effect
+            if effect.kind not in SOURCE_KINDS:
+                continue
+            source = TaintSource(
+                fq=fact.owner(func.fq),
+                relpath=effect.relpath,
+                line=effect.line,
+                reason=_source_reason(effect),
+                detail=effect.detail,
+            )
             paths.append(
                 TaintPath(
                     sink=func.fq,
@@ -338,7 +220,7 @@ def find_taint_paths(
                     sink_line=func.line,
                     sink_reason=reason,
                     steps=fact.steps,
-                    source=fact.source,
+                    source=source,
                 )
             )
     paths.sort(

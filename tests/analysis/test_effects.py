@@ -316,9 +316,14 @@ _SUPPORT_FILES = (
 )
 
 
-def _observer_gate_count(text):
-    from repro.analysis.effects import _observer_names_in
+def _observer_names_in(test):
+    from repro.analysis.effects import OBSERVER_COMPONENTS
+    from repro.analysis.gates import gate_names
 
+    return gate_names(test, OBSERVER_COMPONENTS)
+
+
+def _observer_gate_count(text):
     count = 0
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.If) and _observer_names_in(node.test):
@@ -334,8 +339,6 @@ class _GateKiller(ast.NodeTransformer):
         self.count = 0
 
     def visit_If(self, node):
-        from repro.analysis.effects import _observer_names_in
-
         self.generic_visit(node)
         if _observer_names_in(node.test):
             current = self.count
