@@ -547,7 +547,9 @@ def _sources_at(node: ast.AST, func: FunctionInfo, imports) -> List[Effect]:
     calls, ``os.environ`` chains, and loops over a set expression."""
 
     def source(kind: str, detail: str, at: ast.AST, root: str = ""):
-        return Effect(kind, detail, func.relpath, at.lineno, at.col_offset, root)
+        return Effect(
+            kind, detail, func.relpath, at.lineno, at.col_offset, root
+        )
 
     if isinstance(node, ast.Call):
         dotted = resolve_target(node.func, imports)
@@ -566,6 +568,15 @@ def _sources_at(node: ast.AST, func: FunctionInfo, imports) -> List[Effect]:
         for site in iteration_sites(node)
         if is_set_expression(site)
     ]
+
+
+def source_reason(effect: Effect) -> str:
+    """Why a source-kind effect is nondeterministic (DET003's wording)."""
+    if effect.kind == "reads-entropy":
+        return classify_entropy_call(effect.root)
+    if effect.kind == "reads-env":
+        return "environment read"
+    return "set-order-dependent iteration"
 
 
 def first_source(func: FunctionInfo, module: ModuleInfo) -> Optional[Effect]:

@@ -64,9 +64,9 @@ def scan_gates(statements: List[ast.stmt], handles: FrozenSet[str]) -> GateScan:
     """Walk a statement suite once under the gate grammar for *handles*."""
     scan = GateScan([], [], [])
 
-    def suite(statements, guarded: FrozenSet[str]) -> None:
+    def suite(stmts: List[ast.stmt], guarded: FrozenSet[str]) -> None:
         # Left to right, so early-exit gates accumulate.
-        for statement in statements:
+        for statement in stmts:
             if not isinstance(statement, ast.If):
                 visit(statement, guarded)
                 continue

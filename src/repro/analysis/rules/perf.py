@@ -48,6 +48,11 @@ _HOT_FUNCTIONS = {
 
 _ALLOC_CALLS = {"dict", "list", "set"}
 
+#: Container displays and comprehensions: one allocation each.
+_DISPLAYS = (
+    ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp,
+)
+
 #: Tracer method-name prefixes that run once per simulated event (the
 #: interval/fault hooks), as opposed to the per-request/per-span
 #: ``begin_*``/``end_*`` lifecycle methods.
@@ -76,11 +81,7 @@ def _object_allocations(nodes) -> Iterator[tuple[ast.AST, str]]:
     built."""
     for root in nodes:
         for node in ast.walk(root):
-            if isinstance(
-                node,
-                (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
-                 ast.SetComp),
-            ):
+            if isinstance(node, _DISPLAYS):
                 yield node, type(node).__name__.lower()
             elif isinstance(node, ast.Call):
                 name = terminal_name(node.func)
@@ -239,11 +240,7 @@ class HotPathHygiene(Rule):
                 continue
             for node in ast.walk(loop):
                 alloc = None
-                if isinstance(
-                    node,
-                    (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
-                     ast.SetComp),
-                ):
+                if isinstance(node, _DISPLAYS):
                     alloc = type(node).__name__.lower()
                 elif (
                     isinstance(node, ast.Call)

@@ -211,7 +211,11 @@ def expand_suppressions(
 
 @dataclasses.dataclass
 class SourceFile:
-    """One parsed Python file presented to the rules."""
+    """One Python file presented to the rules.
+
+    The text is parsed, and its pragmas read, on first use: a warm
+    cached run that only hashes a file never pays for either.
+    """
 
     #: Absolute filesystem path.
     path: Path
@@ -221,14 +225,6 @@ class SourceFile:
     relpath: str
 
     text: str
-    tree: Optional[ast.Module]
-
-    #: Syntax error message when parsing failed (rules are skipped).
-    parse_error: Optional[str] = None
-
-    suppressions: Dict[int, FrozenSet[str]] = dataclasses.field(
-        default_factory=dict
-    )
 
     @classmethod
     def load(cls, path: Path, relpath: str) -> "SourceFile":
@@ -241,20 +237,31 @@ class SourceFile:
     ) -> "SourceFile":
         """Build a source file from in-memory text (the fixture path used
         by the rule tests, which simulate arbitrary repo locations)."""
-        tree: Optional[ast.Module] = None
-        error: Optional[str] = None
-        try:
-            tree = ast.parse(text, filename=relpath)
-        except SyntaxError as exc:
-            error = f"{exc.msg} (line {exc.lineno})"
         return cls(
             path=path if path is not None else Path(relpath),
             relpath=relpath,
             text=text,
-            tree=tree,
-            parse_error=error,
-            suppressions=expand_suppressions(tree, parse_suppressions(text)),
         )
+
+    @functools.cached_property
+    def _parsed(self) -> Tuple[Optional[ast.Module], Optional[str]]:
+        try:
+            return ast.parse(self.text, filename=self.relpath), None
+        except SyntaxError as exc:
+            return None, f"{exc.msg} (line {exc.lineno})"
+
+    @property
+    def tree(self) -> Optional[ast.Module]:
+        return self._parsed[0]
+
+    @property
+    def parse_error(self) -> Optional[str]:
+        """Syntax error message when parsing failed (rules are skipped)."""
+        return self._parsed[1]
+
+    @functools.cached_property
+    def suppressions(self) -> Dict[int, FrozenSet[str]]:
+        return expand_suppressions(self.tree, parse_suppressions(self.text))
 
     @functools.cached_property
     def imports(self) -> Dict[str, str]:

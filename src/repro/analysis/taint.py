@@ -174,14 +174,6 @@ def sink_reason(func: FunctionInfo) -> Optional[str]:
     return None
 
 
-def _source_reason(effect) -> str:
-    if effect.kind == "reads-entropy":
-        return classify_entropy_call(effect.root)
-    if effect.kind == "reads-env":
-        return "environment read"
-    return "set-order-dependent iteration"
-
-
 def find_taint_paths(
     model: ProjectModel,
     graph: CallGraph,
@@ -193,7 +185,8 @@ def find_taint_paths(
     Deterministic: the framework visits functions and call edges in
     sorted order, and the final report is sorted by sink location.
     """
-    from .effects import SOURCE_KINDS, EffectAnalysis
+    # Imported here: the effect scanner imports this module's catalog.
+    from .effects import SOURCE_KINDS, EffectAnalysis, source_reason
 
     if summaries is None:
         summaries = compute_summaries(model, graph, EffectAnalysis())
@@ -210,7 +203,7 @@ def find_taint_paths(
                 fq=fact.owner(func.fq),
                 relpath=effect.relpath,
                 line=effect.line,
-                reason=_source_reason(effect),
+                reason=source_reason(effect),
                 detail=effect.detail,
             )
             paths.append(

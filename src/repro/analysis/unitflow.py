@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .dataflow import DataflowAnalysis
 from .graph import CallResolver
 from .project import FunctionInfo, ModuleInfo, ProjectModel
+from .source import terminal_name
 
 #: Identifier tokens implying a unit.  Names containing "per" are ratios
 #: and excluded (cycles_per_byte is neither cycles nor bytes).
@@ -67,11 +68,8 @@ def identifier_unit(identifier: str) -> Optional[str]:
 def name_unit(node: ast.expr) -> Optional[str]:
     """Unit declared by a Name/Attribute's own identifier (what the
     syntactic UNIT001 rule sees)."""
-    if isinstance(node, ast.Attribute):
-        return identifier_unit(node.attr)
-    if isinstance(node, ast.Name):
-        return identifier_unit(node.id)
-    return None
+    name = terminal_name(node)
+    return identifier_unit(name) if name is not None else None
 
 
 def return_unit(function_name: str) -> Optional[str]:

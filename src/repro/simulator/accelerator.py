@@ -71,7 +71,11 @@ class DeviceConfig:
     #: attached tenant.  Metamorphic sweeps use this so the tenants=1
     #: cell of a monotonicity grid runs the same discipline as the rest;
     #: production-style runs leave it off and get the legacy eager path
-    #: (and its bit-identical artifacts) for free.
+    #: (and its bit-identical artifacts) for free.  The eager path is
+    #: the tenants=1 reference, not a removable twin: routing a
+    #: single-tenant port through DRR changes the run fingerprint
+    #: (``test_port_run_fingerprint_matches_private_device`` fails for
+    #: SYNC and ASYNC alike).
     always_shared: bool = False
 
     def __post_init__(self) -> None:

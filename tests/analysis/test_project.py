@@ -34,6 +34,26 @@ class TestModuleNames:
         assert module_name_for("README.md") is None
         assert module_name_for("src/has-dash/x.py") is None
 
+    def test_source_import_table_is_absolute(self):
+        # The one table every rule and the model read: relative imports
+        # resolve against the file's package, and stay dotted (so they
+        # match no absolute catalog entry) when the path is no module.
+        source = SourceFile.from_text(
+            "import numpy as np\nimport os.path\n"
+            "from . import errors\nfrom ..core import model as m\n",
+            relpath="src/repro/simulator/x.py",
+        )
+        assert source.imports == {
+            "np": "numpy",
+            "os": "os",
+            "errors": "repro.simulator.errors",
+            "m": "repro.core.model",
+        }
+        loose = SourceFile.from_text(
+            "from . import time\n", relpath="src/has-dash/x.py"
+        )
+        assert loose.imports == {"time": "..time"}
+
     def test_collision_lands_in_skipped(self):
         model = _model(
             ("src/repro/a.py", "X = 1\n"),

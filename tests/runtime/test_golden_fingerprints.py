@@ -7,7 +7,9 @@ existed must hash out unchanged (single-tenant runs ride the legacy
 eager path byte for byte), and the result cache must keep replaying old
 entries -- the new study types are *new* frozen dataclasses, not layout
 changes to existing ones, so :data:`~repro.runtime.SCHEMA_VERSION`
-intentionally does not move.
+intentionally does not move.  Exact work counters (events, completed
+requests, offloads issued and served) sit beside the digests: counters
+do not flake, and a drift in them names what changed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ import pytest
 
 from repro.application.shared_device import SharedDevicePoint, TenantRun
 from repro.characterization import characterize
+from repro.core import ThreadingDesign
 from repro.runtime import SCHEMA_VERSION, RunSpec
+from repro.simulator import SimulationConfig, run_simulation
+from repro.validation.matrix import _builds
 
 #: RunSummary fingerprints for
 #: characterize("cache1", seed=2020, num_cores=2, requests_target=...),
@@ -37,6 +42,30 @@ def test_characterize_digests_survive_the_shared_device_refactor(
         "cache1", seed=2020, num_cores=2, requests_target=requests_target
     )
     assert run.simulation.fingerprint() == GOLDEN[requests_target]
+
+
+def test_characterize_work_counters_are_pinned():
+    """Exact work counts beside the digest: a change that adds events
+    per request fails here with a readable diff, not only a new hash."""
+    run = characterize("cache1", seed=2020, num_cores=2, requests_target=30)
+    assert run.simulation.events_processed == 4020
+    assert run.simulation.completed_requests == 59
+
+
+def test_matrix_cell_offload_counters_are_pinned():
+    """One Table 6 cell (SYNC, alpha=0.3, 500-cycle interface), run the
+    way :func:`~repro.validation.matrix.validate_cell` runs its
+    accelerated side: every offload the service issues is served."""
+    _, build_accelerated, _ = _builds(
+        0.3, ThreadingDesign.SYNC, 500.0, 300.0, 8.0, 2
+    )
+    result = run_simulation(
+        build_accelerated,
+        SimulationConfig(num_cores=2, threads_per_core=1, window_cycles=8.0e6),
+    )
+    device = result.service.offloads["k"].device
+    assert len(result.metrics.offloads) == 2934
+    assert device.stats.offloads_served == 2934
 
 
 def test_cache_schema_version_is_unchanged():
