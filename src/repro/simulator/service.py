@@ -21,6 +21,7 @@ from typing import (
     Iterator,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -125,6 +126,10 @@ def _tenant_label(device) -> str:
     return getattr(device, "tenant_label", "")
 
 
+#: Designs whose thread blocks until the offload responds.
+_BLOCKING_DESIGNS = (ThreadingDesign.SYNC, ThreadingDesign.SYNC_OS)
+
+
 @dataclasses.dataclass(slots=True)
 class _BatchState:
     """Accumulated invocations awaiting a batched dispatch."""
@@ -185,13 +190,11 @@ class OffloadConfig:
     #: Optional seeded fault injector.  When active, every dispatch of
     #: this kernel runs through the retry / exponential-backoff /
     #: fallback-to-CPU state machine in
-    #: :meth:`Microservice._adjudicate_faults`.  Batched offloads
-    #: adjudicate per *doorbell* instead
-    #: (:meth:`Microservice._adjudicate_batch_faults`): each attempt
-    #: draws one outcome per buffered invocation -- the same entropy
-    #: budget as ``batch_size`` unbatched dispatches -- and a single
-    #: dropped doorbell fails the whole batch while per-item latency
-    #: spikes accrue per item.
+    #: :meth:`Microservice._adjudicate_faults`, once per *doorbell*: a
+    #: single dispatch is a doorbell of one.  Each attempt draws one
+    #: outcome per buffered invocation -- the same entropy budget as
+    #: ``batch_size`` unbatched dispatches -- and a single dropped item
+    #: fails the whole doorbell while latency spikes accrue per item.
     faults: Optional["FaultInjector"] = None
 
     _batch_state: _BatchState = dataclasses.field(default_factory=_BatchState)
@@ -199,14 +202,19 @@ class OffloadConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise SimulationError("batch_size must be >= 1")
-        if self.batch_size > 1 and self.design in (
-            ThreadingDesign.SYNC,
-            ThreadingDesign.SYNC_OS,
-        ):
+        if self.batch_size > 1 and self.design in _BLOCKING_DESIGNS:
             raise SimulationError(
                 "batched offload requires an async design: a blocking "
                 "thread cannot wait on a batch it has not filled"
             )
+        if (
+            self.design is ThreadingDesign.ASYNC_DISTINCT_THREAD
+            and self.response_handler is None
+        ):
+            raise SimulationError(
+                "async-distinct-thread offload needs a response handler"
+            )
+
     def gates_request(self) -> bool:
         """Whether a request must wait for this kernel's response.
 
@@ -218,6 +226,10 @@ class OffloadConfig:
         if self.design is ThreadingDesign.ASYNC_NO_RESPONSE:
             return self.interface.placement is not Placement.REMOTE
         return True
+
+
+def _no_release() -> None:
+    """Response callback of a dispatch that gates no request."""
 
 
 class ResponseHandler:
@@ -427,7 +439,9 @@ class Microservice:
             if host_cycles > 0:
                 yield Compute(host_cycles, kernel.functionality, kernel.leaf)
             return
-        yield from self._run_offload(thread, invocation, config, context)
+        yield from self._run_offload(
+            thread, invocation, host_cycles, config, context
+        )
 
     # -- offload state machines ---------------------------------------------------
 
@@ -435,22 +449,29 @@ class Microservice:
         self,
         thread: SimThread,
         invocation: KernelInvocation,
+        host_cycles: float,
         config: OffloadConfig,
         context: _RequestContext,
     ):
         kernel = invocation.kernel
-        host_cycles = kernel.host_cycles(invocation.granularity)
+        if config.batch_size > 1:
+            # Batched kernels buffer here; the filling invocation runs
+            # the doorbell through the same fault loop and async tail.
+            yield from self._offload_async_batched(
+                thread, kernel, host_cycles, invocation.granularity, config,
+                context,
+            )
+            return
         transfer = config.interface.transfer_cycles(invocation.granularity)
         dispatch = config.interface.dispatch_cycles
-        o1 = config.thread_switch_cycles
         extra_delay = 0.0
         injector = config.faults
-        if injector is not None and injector.active and config.batch_size == 1:
-            # Batched kernels adjudicate per doorbell at flush time
-            # (:meth:`_adjudicate_batch_faults`), not per invocation.
+        if injector is not None and injector.active:
+            # A single dispatch is a doorbell of one: it covers its own
+            # request and takes its gate only after adjudication.
             extra_delay = yield from self._adjudicate_faults(
-                thread, kernel, host_cycles, transfer, dispatch, o1, config,
-                context,
+                thread, kernel, host_cycles, transfer, dispatch, config,
+                context, 1, (context,), (),
             )
             if extra_delay is None:
                 # Retries exhausted: the kernel ran on the host (fallback)
@@ -464,13 +485,7 @@ class Microservice:
         )
         design = config.design
         tracer = self.tracer
-        if (
-            tracer is not None
-            and context.trace is not None
-            and config.batch_size == 1
-        ):
-            # Batched dispatches are spanned at flush time instead, where
-            # the batch record covering every buffered invocation exists.
+        if tracer is not None and context.trace is not None:
             tracer.begin_offload(
                 context.trace, record, design,
                 tenant=_tenant_label(config.device),
@@ -483,7 +498,7 @@ class Microservice:
             )
         elif design is ThreadingDesign.SYNC_OS:
             yield from self._offload_sync_os(
-                thread, kernel, host_cycles, transfer, dispatch, o1, config,
+                thread, kernel, host_cycles, transfer, dispatch, config,
                 record, extra_delay,
             )
         elif design in (
@@ -507,24 +522,29 @@ class Microservice:
         host_cycles: float,
         transfer: float,
         dispatch: float,
-        o1: float,
         config: OffloadConfig,
         context: _RequestContext,
+        count: int,
+        covered: Sequence[_RequestContext],
+        gated: Sequence[_RequestContext],
     ):
-        """Retry loop for one offload under ``config.faults``.
+        """Retry loop for one doorbell of *count* invocations (costing
+        *host_cycles* in all) under ``config.faults``; a single dispatch
+        is the doorbell of one.  Each attempt draws one outcome per
+        invocation -- the entropy budget of *count* single dispatches --
+        so seeded fault streams stay aligned across batch sizes.  Any
+        DROP fails the whole doorbell; per-item SPIKEs accrue into its
+        response delay.  *covered* and *gated* go to :meth:`_fall_back`.
 
-        Returns the response-delay shift of the final successful dispatch
-        (accumulated async timeouts plus any latency spike), or ``None``
-        when the offload exhausted its retries -- in which case the
-        fallback (or the loss) has already been accounted for.
+        Returns the response-delay shift of the final successful attempt
+        (accumulated async timeouts plus latency spikes), or ``None``
+        when retries were exhausted -- the fallback (or the loss) is then
+        already accounted for.
         """
         injector = config.faults
         policy = injector.policy
         counters = self.metrics.fault_counters(kernel.name)
-        blocking = config.design in (
-            ThreadingDesign.SYNC,
-            ThreadingDesign.SYNC_OS,
-        )
+        blocking = config.design in _BLOCKING_DESIGNS
         tracer = self.tracer
         trace_ctx = context.trace if tracer is not None else None
         if tracer is not None and trace_ctx is not None:
@@ -533,35 +553,43 @@ class Microservice:
         failures = 0
         while True:
             attempt_started = self.engine.now
-            outcome = injector.outcome(self.engine.now)
+            dropped = 0
+            spikes = 0
+            for _ in range(count):
+                outcome = injector.outcome(self.engine.now)
+                if outcome is AttemptOutcome.DROP:
+                    dropped += 1
+                elif outcome is AttemptOutcome.SPIKE:
+                    spikes += 1
             counters.attempts += 1
-            if outcome is AttemptOutcome.OK:
-                if tracer is not None and trace_ctx is not None:
-                    tracer.record_attempt(
-                        trace_ctx, kernel.name, failures, "ok",
-                        attempt_started, attempt_started,
-                    )
-                return waited
-            if outcome is AttemptOutcome.SPIKE:
-                counters.latency_spikes += 1
-                counters.spike_cycles += policy.spike_cycles
+            if not dropped:
+                if not spikes:
+                    if tracer is not None and trace_ctx is not None:
+                        tracer.record_attempt(
+                            trace_ctx, kernel.name, failures, "ok",
+                            attempt_started, attempt_started,
+                        )
+                    return waited
+                spike_cycles = spikes * policy.spike_cycles
+                counters.latency_spikes += spikes
+                counters.spike_cycles += spike_cycles
                 if tracer is not None and trace_ctx is not None:
                     tracer.record_attempt(
                         trace_ctx, kernel.name, failures, "spike",
                         attempt_started, attempt_started,
-                        spike_cycles=policy.spike_cycles,
+                        spike_cycles=spike_cycles,
                     )
-                return waited + policy.spike_cycles
+                return waited + spike_cycles
             # DROP: the attempt never completes; the host pays its share
-            # of the dispatch cost and notices only via the timeout.
+            # of the dispatch cost and notices only via one timeout.
             failures += 1
-            counters.drops += 1
+            counters.drops += dropped
             counters.timeouts += 1
             counters.timeout_cycles += policy.timeout_cycles
             if tracer is not None and trace_ctx is not None:
                 trace_ctx.tag = "fault-timeout"
             yield from self._failed_attempt(
-                thread, kernel, transfer, dispatch, o1, config
+                thread, kernel, transfer, dispatch, config
             )
             if tracer is not None and trace_ctx is not None:
                 trace_ctx.tag = None
@@ -578,7 +606,8 @@ class Microservice:
                 if tracer is not None and trace_ctx is not None:
                     trace_ctx.tag = "fallback"
                 yield from self._fall_back(
-                    kernel, host_cycles, counters, policy, context
+                    kernel, host_cycles, count, covered, gated, counters,
+                    policy,
                 )
                 if tracer is not None and trace_ctx is not None:
                     trace_ctx.tag = None
@@ -610,7 +639,6 @@ class Microservice:
         kernel: KernelSpec,
         transfer: float,
         dispatch: float,
-        o1: float,
         config: OffloadConfig,
     ):
         """Charge one dropped attempt's host-side cost for the design.
@@ -620,22 +648,26 @@ class Microservice:
         ``o0 + L`` busy (the bytes were sent), timeout off the host.
         """
         design = config.design
-        timeout = config.faults.policy.timeout_cycles
-        if design is ThreadingDesign.SYNC:
-            if dispatch > 0:
+        if design not in _BLOCKING_DESIGNS:
+            overhead = dispatch + transfer
+            if overhead > 0:
                 yield Compute(
-                    dispatch, kernel.functionality, kernel.leaf,
+                    overhead, kernel.functionality, kernel.leaf,
                     CycleKind.OFFLOAD_OVERHEAD,
                 )
+            return
+        o1 = config.thread_switch_cycles
+        timeout = config.faults.policy.timeout_cycles
+        if dispatch > 0:
+            yield Compute(
+                dispatch, kernel.functionality, kernel.leaf,
+                CycleKind.OFFLOAD_OVERHEAD,
+            )
+        if design is ThreadingDesign.SYNC:
             if timeout > 0:
                 self.engine.after(timeout, lambda: self.cpu.resume(thread))
                 yield HoldCore(kernel.functionality, kernel.leaf)
-        elif design is ThreadingDesign.SYNC_OS:
-            if dispatch > 0:
-                yield Compute(
-                    dispatch, kernel.functionality, kernel.leaf,
-                    CycleKind.OFFLOAD_OVERHEAD,
-                )
+        else:
             if timeout > 0:
                 if o1 > 0:
                     yield Compute(
@@ -655,26 +687,26 @@ class Microservice:
                     LeafCategory.KERNEL,
                     CycleKind.THREAD_SWITCH,
                 )
-        else:
-            overhead = dispatch + transfer
-            if overhead > 0:
-                yield Compute(
-                    overhead, kernel.functionality, kernel.leaf,
-                    CycleKind.OFFLOAD_OVERHEAD,
-                )
 
     def _fall_back(
         self,
         kernel: KernelSpec,
         host_cycles: float,
+        count: int,
+        covered: Sequence[_RequestContext],
+        gated: Sequence[_RequestContext],
         counters,
         policy,
-        context: _RequestContext,
     ):
-        """Retries exhausted: run on the host CPU, or lose the work."""
-        context.mark_degraded()
+        """Retries exhausted: the doorbell's *count* invocations run on
+        the host CPU (or their work is lost).  Every *covered* request is
+        marked degraded and every *gated* one released: a batch took its
+        gates while buffering, a single dispatch takes none until its
+        attempt succeeds."""
+        for covered_context in covered:
+            covered_context.mark_degraded()
         if policy.fallback_to_cpu:
-            counters.fallbacks += 1
+            counters.fallbacks += count
             counters.fallback_cycles += host_cycles
             self.metrics.charge_kernel(
                 kernel.name, host_cycles, origin=kernel.functionality
@@ -682,149 +714,8 @@ class Microservice:
             if host_cycles > 0:
                 yield Compute(host_cycles, kernel.functionality, kernel.leaf)
         else:
-            counters.lost_offloads += 1
-
-    def _adjudicate_batch_faults(
-        self,
-        kernel: KernelSpec,
-        batch_cycles: float,
-        transfer: float,
-        dispatch: float,
-        config: OffloadConfig,
-        batch_count: int,
-        batch_gates: list,
-        batch_contexts: list,
-        context: _RequestContext,
-    ):
-        """Doorbell-level retry loop for one batched (async) dispatch.
-
-        Each attempt adjudicates every buffered invocation -- consuming
-        exactly *batch_count* entropy draws, the same budget as that many
-        unbatched dispatches -- so seeded fault streams stay aligned
-        across batch sizes.  Any DROP fails the whole doorbell (the
-        device never saw the batch); per-item SPIKEs accrue into the
-        batch's response delay.  Returns the response-delay shift of the
-        final successful doorbell, or ``None`` when retries were
-        exhausted and the whole batch fell back (or was lost).
-        """
-        injector = config.faults
-        policy = injector.policy
-        counters = self.metrics.fault_counters(kernel.name)
-        tracer = self.tracer
-        trace_ctx = context.trace if tracer is not None else None
-        if tracer is not None and trace_ctx is not None:
-            tracer.note_degradations(kernel.name, injector.schedule)
-        waited = 0.0
-        failures = 0
-        while True:
-            attempt_started = self.engine.now
-            dropped = 0
-            spikes = 0
-            for _ in range(batch_count):
-                outcome = injector.outcome(self.engine.now)
-                if outcome is AttemptOutcome.DROP:
-                    dropped += 1
-                elif outcome is AttemptOutcome.SPIKE:
-                    spikes += 1
-            counters.attempts += 1
-            if dropped == 0:
-                if spikes:
-                    spike_cycles = spikes * policy.spike_cycles
-                    counters.latency_spikes += spikes
-                    counters.spike_cycles += spike_cycles
-                    if tracer is not None and trace_ctx is not None:
-                        tracer.record_attempt(
-                            trace_ctx, kernel.name, failures, "spike",
-                            attempt_started, attempt_started,
-                            spike_cycles=spike_cycles,
-                        )
-                    return waited + spike_cycles
-                if tracer is not None and trace_ctx is not None:
-                    tracer.record_attempt(
-                        trace_ctx, kernel.name, failures, "ok",
-                        attempt_started, attempt_started,
-                    )
-                return waited
-            # A dropped doorbell loses the whole dispatch: the host paid
-            # the batch's dispatch + transfer and notices via one timeout.
-            failures += 1
-            counters.drops += dropped
-            counters.timeouts += 1
-            counters.timeout_cycles += policy.timeout_cycles
-            if tracer is not None and trace_ctx is not None:
-                trace_ctx.tag = "fault-timeout"
-            overhead = dispatch + transfer
-            if overhead > 0:
-                yield Compute(
-                    overhead, kernel.functionality, kernel.leaf,
-                    CycleKind.OFFLOAD_OVERHEAD,
-                )
-            if tracer is not None and trace_ctx is not None:
-                trace_ctx.tag = None
-                tracer.record_attempt(
-                    trace_ctx, kernel.name, failures - 1, "drop",
-                    attempt_started, self.engine.now,
-                )
-            # Async hosts compute through the wait; the lost time surfaces
-            # as response delay instead of core time.
-            waited += policy.timeout_cycles
-            if failures > policy.max_retries:
-                fallback_started = self.engine.now
-                if tracer is not None and trace_ctx is not None:
-                    trace_ctx.tag = "fallback"
-                yield from self._fall_back_batch(
-                    kernel, batch_cycles, batch_count, batch_gates,
-                    batch_contexts, counters, policy,
-                )
-                if tracer is not None and trace_ctx is not None:
-                    trace_ctx.tag = None
-                    tracer.record_fallback(
-                        trace_ctx, kernel.name, fallback_started,
-                        self.engine.now, policy.fallback_to_cpu,
-                    )
-                return None
-            backoff = policy.backoff_cycles(failures - 1)
-            if backoff > 0:
-                counters.backoff_cycles += backoff
-                backoff_started = self.engine.now
-                if tracer is not None and trace_ctx is not None:
-                    trace_ctx.tag = "backoff"
-                    tracer.record_backoff(
-                        trace_ctx, kernel.name, backoff_started,
-                        backoff_started + backoff,
-                    )
-                yield Compute(
-                    backoff, kernel.functionality, kernel.leaf, CycleKind.BLOCKED
-                )
-                if tracer is not None and trace_ctx is not None:
-                    trace_ctx.tag = None
-            counters.retries += 1
-
-    def _fall_back_batch(
-        self,
-        kernel: KernelSpec,
-        batch_cycles: float,
-        batch_count: int,
-        batch_gates: list,
-        batch_contexts: list,
-        counters,
-        policy,
-    ):
-        """Doorbell retries exhausted: the whole batch runs on the host
-        CPU (or its work is lost), and every gated request is released."""
-        for covered_context in batch_contexts:
-            covered_context.mark_degraded()
-        if policy.fallback_to_cpu:
-            counters.fallbacks += batch_count
-            counters.fallback_cycles += batch_cycles
-            self.metrics.charge_kernel(
-                kernel.name, batch_cycles, origin=kernel.functionality
-            )
-            if batch_cycles > 0:
-                yield Compute(batch_cycles, kernel.functionality, kernel.leaf)
-        else:
-            counters.lost_offloads += batch_count
-        for gated_context in batch_gates:
+            counters.lost_offloads += count
+        for gated_context in gated:
             gated_context.release_gate()
 
     def _offload_sync(
@@ -858,11 +749,12 @@ class Microservice:
         self.metrics.record_offload(record)
 
     def _offload_sync_os(
-        self, thread, kernel, host_cycles, transfer, dispatch, o1, config,
+        self, thread, kernel, host_cycles, transfer, dispatch, config,
         record, extra_delay=0.0,
     ):
         """Sync-OS (Fig. 13): block through the driver ack (if any), then
         switch to another thread; switch back on completion (2 x o1)."""
+        o1 = config.thread_switch_cycles
         if dispatch > 0:
             yield Compute(
                 dispatch, kernel.functionality, kernel.leaf, CycleKind.OFFLOAD_OVERHEAD
@@ -938,77 +830,42 @@ class Microservice:
         fire-and-forget) and may be consumed by a dedicated thread.
         Fault-induced *extra_delay* (timeouts waited out off the host,
         latency spikes) pushes the device arrival into the future."""
-        if config.batch_size > 1:
-            yield from self._offload_async_batched(
-                kernel, host_cycles, config, record, context
-            )
-            return
         overhead = dispatch + transfer
         if overhead > 0:
             yield Compute(
                 overhead, kernel.functionality, kernel.leaf, CycleKind.OFFLOAD_OVERHEAD
             )
-        gates = config.gates_request()
-        if gates:
+        release = _no_release
+        if config.gates_request():
             context.add_gate()
-        design = config.design
-        handler = config.response_handler
-
-        def on_accept(queue_cycles: float) -> None:
-            record.queued_cycles = queue_cycles
-
-        def on_complete(completion: float) -> None:
-            record.completed_at = completion
-            if design is ThreadingDesign.ASYNC_DISTINCT_THREAD:
-                if handler is None:
-                    raise SimulationError(
-                        "async-distinct-thread offload needs a response handler"
-                    )
-                if gates:
-                    handler.deliver(context.release_gate)
-                else:
-                    handler.deliver(lambda: None)
-            elif gates:
-                context.release_gate()
-
-        arrival_time = self.engine.now
-        if extra_delay:
-            arrival_time += extra_delay
-        config.device.submit(
-            host_cycles,
-            arrival_time=arrival_time,
-            on_accept=on_accept,
-            on_complete=on_complete,
-        )
-        self.metrics.record_offload(record)
+            release = context.release_gate
+        self._submit_async(config, record, host_cycles, release, extra_delay)
 
     def _offload_async_batched(
-        self, kernel, host_cycles, config, record, context
+        self, thread, kernel, host_cycles, granularity, config, context
     ):
         """Append one invocation to the kernel's batch; the invocation
         that fills the batch pays the (single) dispatch overhead and
         triggers the offload covering every buffered invocation."""
         state = config._batch_state
         state.pending_host_cycles += host_cycles
-        state.pending_bytes += record.granularity
+        state.pending_bytes += granularity
         state.pending_count += 1
         state.contexts.append(context)
-        gates = config.gates_request()
-        if gates:
+        if config.gates_request():
             context.add_gate()
             state.gates.append(context)
         if state.pending_count < config.batch_size:
             return
-        batch = state.reset()
-        batch_cycles, batch_bytes, batch_count, batch_gates, batch_contexts = batch
-        transfer = config.interface.transfer_cycles(batch_bytes)
+        cycles, size, count, gated, covered = state.reset()
+        transfer = config.interface.transfer_cycles(size)
         dispatch = config.interface.dispatch_cycles
         extra_delay = 0.0
         injector = config.faults
         if injector is not None and injector.active:
-            extra_delay = yield from self._adjudicate_batch_faults(
-                kernel, batch_cycles, transfer, dispatch, config,
-                batch_count, batch_gates, batch_contexts, context,
+            extra_delay = yield from self._adjudicate_faults(
+                thread, kernel, cycles, transfer, dispatch, config, context,
+                count, covered, gated,
             )
             if extra_delay is None:
                 # Doorbell retries exhausted: the whole batch fell back
@@ -1020,48 +877,52 @@ class Microservice:
                 overhead, kernel.functionality, kernel.leaf,
                 CycleKind.OFFLOAD_OVERHEAD,
             )
-        batch_record = OffloadRecord(
+        record = OffloadRecord(
             kernel=kernel.name,
-            granularity=batch_bytes,
+            granularity=size,
             dispatched_at=self.engine.now,
-            service_cycles=config.device.service_cycles(batch_cycles),
+            service_cycles=config.device.service_cycles(cycles),
         )
-        design = config.design
-        handler = config.response_handler
         tracer = self.tracer
         if tracer is not None and context.trace is not None:
             # Parented by the flushing request; the batch covers every
             # buffered invocation (batched_invocations attribute).
             tracer.begin_offload(
-                context.trace, batch_record, design, batched=batch_count,
+                context.trace, record, config.design, batched=count,
                 tenant=_tenant_label(config.device),
             )
 
         def release_all() -> None:
-            for gated_context in batch_gates:
+            for gated_context in gated:
                 gated_context.release_gate()
 
+        self._submit_async(config, record, cycles, release_all, extra_delay)
+
+    def _submit_async(self, config, record, cycles, release, extra_delay):
+        """Submit one async dispatch of *cycles*, arriving *extra_delay*
+        late; its response runs *release* -- through the response
+        handler under the distinct-thread design."""
+        handler = None
+        if config.design is ThreadingDesign.ASYNC_DISTINCT_THREAD:
+            handler = config.response_handler
+
         def on_accept(queue_cycles: float) -> None:
-            batch_record.queued_cycles = queue_cycles
+            record.queued_cycles = queue_cycles
 
         def on_complete(completion: float) -> None:
-            batch_record.completed_at = completion
-            if design is ThreadingDesign.ASYNC_DISTINCT_THREAD:
-                if handler is None:
-                    raise SimulationError(
-                        "async-distinct-thread offload needs a response handler"
-                    )
-                handler.deliver(release_all)
+            record.completed_at = completion
+            if handler is not None:
+                handler.deliver(release)
             else:
-                release_all()
+                release()
 
         arrival_time = self.engine.now
         if extra_delay:
             arrival_time += extra_delay
         config.device.submit(
-            batch_cycles,
+            cycles,
             arrival_time=arrival_time,
             on_accept=on_accept,
             on_complete=on_complete,
         )
-        self.metrics.record_offload(batch_record)
+        self.metrics.record_offload(record)

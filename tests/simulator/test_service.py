@@ -298,17 +298,13 @@ class TestAsyncOffload:
         assert len(metrics.completed_requests()) == 1
 
     def test_distinct_thread_without_handler_raises(self):
+        # Rejected at construction, before any request runs.
         engine = Engine()
-        metrics = MetricSink()
-        cpu = CPU(engine, metrics, 1)
         device = AcceleratorDevice(engine, 4.0)
-        config = OffloadConfig(
-            device=device, interface=self.INTERFACE,
-            design=ThreadingDesign.ASYNC_DISTINCT_THREAD,
-        )
-        service = Microservice(engine, cpu, metrics, offloads={"crypt": config})
-        service.spawn_worker(iter([one_request(invocations=1)]))
         from repro.errors import SimulationError
 
-        with pytest.raises(SimulationError):
-            engine.run_to_completion()
+        with pytest.raises(SimulationError, match="needs a response handler"):
+            OffloadConfig(
+                device=device, interface=self.INTERFACE,
+                design=ThreadingDesign.ASYNC_DISTINCT_THREAD,
+            )
