@@ -132,34 +132,25 @@ def execute_batch(
 
         if not unique:
             return results
-        serial = workers == 1 or len(unique) == 1
         if batch_telemetry is not None:
-            # Telemetered path: same work, wrapped in envelopes so the
-            # workers stamp the simulate stage and ship it back
-            # piggy-backed on the pool results.
-            envelopes = batch_telemetry.envelopes(
+            # Telemetered: same work, wrapped in envelopes so the workers
+            # stamp the simulate stage and ship it back piggy-backed on
+            # the pool results.
+            run, tasks = _run_telemetered_task, batch_telemetry.envelopes(
                 [(pending[key][0], spec) for key, spec in unique]
             )
-            if serial:
-                tasks = [
-                    _run_telemetered_task(envelope) for envelope in envelopes
-                ]
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(unique))
-                ) as pool:
-                    tasks = list(pool.map(_run_telemetered_task, envelopes))
-            outputs = batch_telemetry.absorb(tasks)
-        elif serial:
-            outputs = [execute_run(spec) for _, spec in unique]
+        else:
+            run, tasks = execute_run, [spec for _, spec in unique]
+        if workers == 1 or len(unique) == 1:
+            outputs = [run(task) for task in tasks]
         else:
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(unique))
             ) as pool:
                 # Executor.map preserves submission order: deterministic.
-                outputs = list(
-                    pool.map(execute_run, [spec for _, spec in unique])
-                )
+                outputs = list(pool.map(run, tasks))
+        if batch_telemetry is not None:
+            outputs = batch_telemetry.absorb(outputs)
 
         for (key, _), value in zip(unique, outputs):
             if store is not None:
