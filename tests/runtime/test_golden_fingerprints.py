@@ -18,7 +18,12 @@ import pickle
 
 import pytest
 
-from repro.application.shared_device import SharedDevicePoint, TenantRun
+from repro.application.resilience import run_resilience_point
+from repro.application.shared_device import (
+    SharedDevicePoint,
+    TenantRun,
+    run_shared_device_point,
+)
 from repro.characterization import characterize
 from repro.core import ThreadingDesign
 from repro.runtime import SCHEMA_VERSION, RunSpec
@@ -68,6 +73,27 @@ def test_matrix_cell_offload_counters_are_pinned():
     assert device.stats.offloads_served == 2934
 
 
+def test_resilience_point_is_pinned():
+    """One degraded SYNC cell of the resilience grid, exactly."""
+    point = run_resilience_point(
+        drop_probability=0.1, timeout_cycles=4_000.0,
+        design=ThreadingDesign.SYNC,
+    )
+    assert repr(point.simulated_speedup) == "1.23125"
+    assert point.retries == 335
+    assert point.fallbacks == 1
+
+
+def test_shared_device_point_is_pinned():
+    """One batched, faulted cell of the shared-device grid, exactly."""
+    point = run_shared_device_point(
+        tenants=2, batch_size=4, drop_probability=0.1,
+    )
+    assert repr(point.simulated_speedup) == "1.395"
+    assert point.attempts == 2483
+    assert point.drops == 1027
+
+
 def test_cache_schema_version_is_unchanged():
     """Old cache entries must keep replaying: the shared-device studies
     add new result types rather than changing any pickled layout."""
@@ -84,6 +110,25 @@ def test_characterize_cache_key_is_stable():
     assert spec.key() == (
         "1683719f44ef412825bd24608b55d5c981eeab6c816d771d174f9699481b581b"
     )
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("matrix_cell",
+     dict(design=ThreadingDesign.SYNC, alpha=0.3, interface_cycles=500.0,
+          thread_switch_cycles=300.0),
+     "734b0dabff15ef339ac1b23ac59c3669539a279d7bd8ba282133d9a21679817c"),
+    ("resilience_point",
+     dict(seed=0, drop_probability=0.1, timeout_cycles=4_000.0,
+          design=ThreadingDesign.SYNC),
+     "e8c0c5bd34bcf664c12ef99ac28d1416b738bcf73c355b8c2d2740b25bdbfc72"),
+    ("shared_device_point",
+     dict(seed=0, tenants=2, weight=1.0, batch_size=4, drop_probability=0.1),
+     "4c0ceb3ada2ee554c710b117812487552ff8380258ec634c0a1e95802334f044"),
+])
+def test_synthetic_study_cache_keys_are_stable(kind, params, key):
+    """The three synthetic A/B studies keep their spec kinds and params,
+    so their warm cache entries keep replaying."""
+    assert RunSpec.create(kind, **params).key() == key
 
 
 def test_new_study_results_pickle_under_the_current_schema():
