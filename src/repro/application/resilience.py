@@ -5,7 +5,8 @@ This study asks the follow-on operational question: *how quickly does an
 offload's benefit erode when dispatches start failing?*  Two instruments:
 
 * :func:`run_resilience_point` / :func:`resilience_grid` -- A/B simulator
-  experiments (matrix-style synthetic service) with a seeded
+  experiments on the synthetic cell of :mod:`repro.validation.matrix`,
+  so fault-free points land on validated territory, with a seeded
   :class:`~repro.faults.FaultInjector` on the accelerated build, compared
   against the closed-form degraded equations of
   :mod:`repro.core.resilience`.  The grid is the quantitative proof that
@@ -20,40 +21,27 @@ offload's benefit erode when dispatches start failing?*  Two instruments:
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.resilience import degraded_speedup
-from ..core.strategies import Placement, ThreadingDesign
+from ..core.strategies import ThreadingDesign
 from ..errors import ParameterError
-from ..faults import FaultInjector, FaultPolicy
+from ..faults import FaultPolicy
 from ..paperdata.case_studies import ADS1_INFERENCE_STUDY
-from ..paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from ..runtime import RunSpec, execute_batch
 from ..runtime.batch import BatchReport, CacheArg
-from ..simulator import (
-    AcceleratorDevice,
-    InterfaceModel,
-    KernelInvocation,
-    KernelSpec,
-    Microservice,
-    OffloadConfig,
-    RequestSpec,
-    SegmentWork,
-    SimulationConfig,
-    measured_speedup,
-    run_simulation,
+from ..simulator import measured_speedup, run_simulation
+from ..validation.matrix import (
+    SpeedupGrid,
+    SpeedupPoint,
+    synthetic_builds,
+    synthetic_config,
+    synthetic_inputs,
 )
-
-#: Synthetic-service constants, matching :mod:`repro.validation.matrix`
-#: so fault-free resilience points land on validated territory.
-_KERNEL_CALLS = 3
-_GRANULARITY = 400.0
-_CB = 5.0
-_KERNEL_CYCLES = _KERNEL_CALLS * _CB * _GRANULARITY
 
 
 @dataclasses.dataclass(frozen=True)
-class ResiliencePoint:
+class ResiliencePoint(SpeedupPoint):
     """One (failure-rate, timeout) cell: simulated vs closed-form."""
 
     design: ThreadingDesign
@@ -66,52 +54,21 @@ class ResiliencePoint:
     fallbacks: int
     goodput_fraction: float
 
-    @property
-    def error_pct(self) -> float:
-        """Relative model-vs-simulation error of the speedup factor."""
-        return abs(self.model_speedup - self.simulated_speedup) / self.model_speedup * 100.0
 
-    @property
-    def model_speedup_pct(self) -> float:
-        return (self.model_speedup - 1.0) * 100.0
-
-    @property
-    def simulated_speedup_pct(self) -> float:
-        return (self.simulated_speedup - 1.0) * 100.0
-
-
-def _builds(alpha: float, design: ThreadingDesign, policy: FaultPolicy,
-            seed: int, accel_speedup: float, num_cores: int):
-    plain = _KERNEL_CYCLES * (1.0 - alpha) / alpha
-    kernel = KernelSpec("k", F.IO, L.SSL, cycles_per_byte=_CB)
-
-    def factory():
-        return RequestSpec(
-            segments=(
-                SegmentWork(F.APPLICATION_LOGIC, plain_cycles=plain,
-                            leaf_mix={L.C_LIBRARIES: 1.0}),
-                SegmentWork(F.IO, invocations=tuple(
-                    KernelInvocation(kernel, _GRANULARITY)
-                    for _ in range(_KERNEL_CALLS)
-                )),
-            )
-        )
-
-    def build_baseline(engine, cpu, metrics):
-        return Microservice(engine, cpu, metrics), factory
-
-    def build_accelerated(engine, cpu, metrics):
-        device = AcceleratorDevice(engine, accel_speedup, servers=num_cores)
-        interface = InterfaceModel(Placement.OFF_CHIP, dispatch_cycles=30.0)
-        offloads = {
-            "k": OffloadConfig(
-                device=device, interface=interface, design=design,
-                faults=FaultInjector(policy, seed=seed),
-            )
-        }
-        return Microservice(engine, cpu, metrics, offloads=offloads), factory
-
-    return build_baseline, build_accelerated, plain
+def _faulted_cell(drop_probability, timeout_cycles, design, max_retries,
+                  backoff_base_cycles, alpha, accel_speedup, num_cores,
+                  window_cycles, seed):
+    """The fault policy, builders and config of one resilience cell."""
+    policy = FaultPolicy(
+        drop_probability=drop_probability,
+        timeout_cycles=timeout_cycles,
+        max_retries=max_retries,
+        backoff_base_cycles=backoff_base_cycles,
+    )
+    builds = synthetic_builds(
+        alpha, design, accel_speedup, num_cores, policy=policy, seed=seed
+    )
+    return policy, builds, synthetic_config(design, num_cores, window_cycles)
 
 
 def run_resilience_point(
@@ -133,30 +90,19 @@ def run_resilience_point(
     same scenario parameters (``Q = 0``: the device has one engine per
     core, so measured queueing is negligible by construction).
     """
-    policy = FaultPolicy(
-        drop_probability=drop_probability,
-        timeout_cycles=timeout_cycles,
-        max_retries=max_retries,
-        backoff_base_cycles=backoff_base_cycles,
-    )
-    build_baseline, build_accelerated, plain = _builds(
-        alpha, design, policy, seed, accel_speedup, num_cores
-    )
-    threads_per_core = 3 if design is ThreadingDesign.SYNC_OS else 1
-    config = SimulationConfig(
-        num_cores=num_cores, threads_per_core=threads_per_core,
-        window_cycles=window_cycles,
+    policy, (build_baseline, build_accelerated), config = _faulted_cell(
+        drop_probability, timeout_cycles, design, max_retries,
+        backoff_base_cycles, alpha, accel_speedup, num_cores,
+        window_cycles, seed,
     )
     baseline = run_simulation(build_baseline, config)
     accelerated = run_simulation(build_accelerated, config)
     summary = accelerated.summarize()
     totals = summary.metrics.fault_totals()
 
-    request = plain + _KERNEL_CYCLES
     model = degraded_speedup(
-        design, policy,
-        c=request, alpha=_KERNEL_CYCLES / request, n=float(_KERNEL_CALLS),
-        o0=30.0, l=0.0, q=0.0, a=accel_speedup, o1=0.0,
+        design, policy, **synthetic_inputs(alpha),
+        l=0.0, q=0.0, a=accel_speedup, o1=0.0,
     )
     return ResiliencePoint(
         design=design,
@@ -195,40 +141,20 @@ def traced_resilience_run(
     """
     from ..observability import SpanTracer
 
-    policy = FaultPolicy(
-        drop_probability=drop_probability,
-        timeout_cycles=timeout_cycles,
-        max_retries=max_retries,
-        backoff_base_cycles=backoff_base_cycles,
-    )
-    _, build_accelerated, _ = _builds(
-        alpha, design, policy, seed, accel_speedup, num_cores
-    )
-    threads_per_core = 3 if design is ThreadingDesign.SYNC_OS else 1
-    config = SimulationConfig(
-        num_cores=num_cores, threads_per_core=threads_per_core,
-        window_cycles=window_cycles,
+    _, (_, build_accelerated), config = _faulted_cell(
+        drop_probability, timeout_cycles, design, max_retries,
+        backoff_base_cycles, alpha, accel_speedup, num_cores,
+        window_cycles, seed,
     )
     tracer = SpanTracer(label=f"resilience-{design.value}")
     return run_simulation(build_accelerated, config, tracer=tracer)
 
 
 @dataclasses.dataclass(frozen=True)
-class ResilienceGrid:
+class ResilienceGrid(SpeedupGrid):
     """All cells of a failure-rate x timeout sweep."""
 
     points: Tuple[ResiliencePoint, ...]
-
-    @property
-    def max_error_pct(self) -> float:
-        return max(point.error_pct for point in self.points)
-
-    @property
-    def mean_error_pct(self) -> float:
-        return sum(point.error_pct for point in self.points) / len(self.points)
-
-    def worst_point(self) -> ResiliencePoint:
-        return max(self.points, key=lambda point: point.error_pct)
 
 
 def resilience_grid(

@@ -14,9 +14,9 @@ DPU offload of the data-center tax), so the operative questions become:
   (:func:`shared_wait_profile` -- the instrument behind the metamorphic
   monotonicity suite.)
 
-The synthetic service is the resilience study's (3 kernel calls of 400
-bytes at 5 cycles/byte per request), so single-tenant, unbatched,
-fault-free cells land on validated territory.
+The service is the synthetic cell of :mod:`repro.validation.matrix` (3
+kernel calls of 400 bytes at 5 cycles/byte per request), so
+single-tenant, unbatched, fault-free cells land on validated territory.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.resilience import degraded_batched_async_speedup
-from ..core.strategies import Placement, ThreadingDesign
+from ..core.strategies import ThreadingDesign
 from ..errors import ParameterError
 from ..faults import FaultInjector, FaultPolicy
-from ..paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from ..runtime import RunSpec, execute_batch
 from ..runtime.batch import BatchReport, CacheArg
 from ..simulator import (
@@ -36,25 +35,22 @@ from ..simulator import (
     AcceleratorDevice,
     DeviceConfig,
     Engine,
-    InterfaceModel,
-    KernelInvocation,
-    KernelSpec,
     MetricSink,
     Microservice,
     OffloadConfig,
-    RequestSpec,
-    SegmentWork,
-    SimulationConfig,
+    SimulationResult,
     request_stream,
     run_simulation,
 )
-
-#: Synthetic-service constants, matching :mod:`repro.application.resilience`.
-_KERNEL_CALLS = 3
-_GRANULARITY = 400.0
-_CB = 5.0
-_KERNEL_CYCLES = _KERNEL_CALLS * _CB * _GRANULARITY
-_DISPATCH_CYCLES = 30.0
+from ..validation.matrix import (
+    SpeedupGrid,
+    SpeedupPoint,
+    synthetic_builds,
+    synthetic_config,
+    synthetic_inputs,
+    synthetic_interface,
+    synthetic_request_factory,
+)
 
 
 def _tenant_weights(tenants: int, weights: Sequence[float]) -> List[float]:
@@ -66,23 +62,14 @@ def _tenant_weights(tenants: int, weights: Sequence[float]) -> List[float]:
     return resolved
 
 
-def _request_factory(alpha: float):
-    plain = _KERNEL_CYCLES * (1.0 - alpha) / alpha
-    kernel = KernelSpec("k", F.IO, L.SSL, cycles_per_byte=_CB)
-
-    def factory():
-        return RequestSpec(
-            segments=(
-                SegmentWork(F.APPLICATION_LOGIC, plain_cycles=plain,
-                            leaf_mix={L.C_LIBRARIES: 1.0}),
-                SegmentWork(F.IO, invocations=tuple(
-                    KernelInvocation(kernel, _GRANULARITY)
-                    for _ in range(_KERNEL_CALLS)
-                )),
-            )
-        )
-
-    return factory, plain
+def _baseline(alpha: float, num_cores: int,
+              window_cycles: float) -> SimulationResult:
+    """The unaccelerated side of every shared-device A/B comparison."""
+    design = ThreadingDesign.ASYNC
+    build_baseline, _ = synthetic_builds(alpha, design, num_cores=num_cores)
+    return run_simulation(
+        build_baseline, synthetic_config(design, num_cores, window_cycles)
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,7 +125,7 @@ def _run_shared(
     streams are independent but reproducible.
     """
     tenant_weights = _tenant_weights(tenants, weights)
-    factory, _ = _request_factory(alpha)
+    factory = synthetic_request_factory(alpha)
     engine = Engine()
     device = AcceleratorDevice(
         engine, accel_speedup, servers=servers,
@@ -160,9 +147,7 @@ def _run_shared(
             faults = FaultInjector(policy, seed=seed + index)
         offloads = {"k": OffloadConfig(
             device=port,
-            interface=InterfaceModel(
-                Placement.OFF_CHIP, dispatch_cycles=_DISPATCH_CYCLES
-            ),
+            interface=synthetic_interface(),
             design=ThreadingDesign.ASYNC,
             batch_size=batch_size,
             faults=faults,
@@ -213,7 +198,7 @@ def _run_shared(
 
 
 @dataclasses.dataclass(frozen=True)
-class SharedDevicePoint:
+class SharedDevicePoint(SpeedupPoint):
     """One (tenants, weight, batch, drop-rate) cell: simulated vs model."""
 
     tenants: int
@@ -225,19 +210,6 @@ class SharedDevicePoint:
     attempts: int
     drops: int
     device_utilization: float
-
-    @property
-    def error_pct(self) -> float:
-        """Relative model-vs-simulation error of the speedup factor."""
-        return abs(self.model_speedup - self.simulated_speedup) / self.model_speedup * 100.0
-
-    @property
-    def model_speedup_pct(self) -> float:
-        return (self.model_speedup - 1.0) * 100.0
-
-    @property
-    def simulated_speedup_pct(self) -> float:
-        return (self.simulated_speedup - 1.0) * 100.0
 
 
 def run_shared_device_point(
@@ -270,13 +242,7 @@ def run_shared_device_point(
             max_retries=max_retries,
         )
     weights = [weight] + [1.0] * (tenants - 1)
-    baseline = run_simulation(
-        lambda engine, cpu, metrics: (
-            Microservice(engine, cpu, metrics),
-            _request_factory(alpha)[0],
-        ),
-        SimulationConfig(num_cores=num_cores, window_cycles=window_cycles),
-    )
+    baseline = _baseline(alpha, num_cores, window_cycles)
     shared = _run_shared(
         tenants=tenants,
         weights=weights,
@@ -290,10 +256,8 @@ def run_shared_device_point(
         window_cycles=window_cycles,
     )
     tenant0 = shared.tenants[0]
-    request = _KERNEL_CYCLES * (1.0 - alpha) / alpha + _KERNEL_CYCLES
     model = degraded_batched_async_speedup(
-        c=request, alpha=_KERNEL_CYCLES / request, n=float(_KERNEL_CALLS),
-        o0=_DISPATCH_CYCLES, l=0.0, q=0.0,
+        **synthetic_inputs(alpha), l=0.0, q=0.0,
         policy=policy or FaultPolicy(),
         batch_size=batch_size,
     )
@@ -311,21 +275,10 @@ def run_shared_device_point(
 
 
 @dataclasses.dataclass(frozen=True)
-class SharedDeviceGrid:
+class SharedDeviceGrid(SpeedupGrid):
     """All cells of a tenants x weights x batch x drop-rate sweep."""
 
     points: Tuple[SharedDevicePoint, ...]
-
-    @property
-    def max_error_pct(self) -> float:
-        return max(point.error_pct for point in self.points)
-
-    @property
-    def mean_error_pct(self) -> float:
-        return sum(point.error_pct for point in self.points) / len(self.points)
-
-    def worst_point(self) -> SharedDevicePoint:
-        return max(self.points, key=lambda point: point.error_pct)
 
 
 def shared_device_grid(
@@ -453,13 +406,7 @@ def contention_case_study(
     underutilized.  Rows are deterministic given *seed*, so the emitted
     artifact diffs byte-identical across runs and Python versions.
     """
-    baseline = run_simulation(
-        lambda engine, cpu, metrics: (
-            Microservice(engine, cpu, metrics),
-            _request_factory(alpha)[0],
-        ),
-        SimulationConfig(num_cores=num_cores, window_cycles=window_cycles),
-    )
+    baseline = _baseline(alpha, num_cores, window_cycles)
     private = _run_shared(
         tenants=1, weights=(), batch_size=1, policy=None, seed=seed,
         alpha=alpha, accel_speedup=accel_speedup, num_cores=num_cores,

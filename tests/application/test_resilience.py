@@ -30,6 +30,17 @@ class TestGridAcceptance:
         assert grid.mean_error_pct <= 1.0
         assert grid.worst_point().error_pct == grid.max_error_pct
 
+    def test_async_distinct_thread_grid_matches_closed_form_within_2_pct(self):
+        """The async-distinct-thread cell runs with its response handler
+        (``o1 = 0``, as on the model side) and tracks the closed form."""
+        grid = resilience_grid(
+            design=ThreadingDesign.ASYNC_DISTINCT_THREAD, seed=0,
+            window_cycles=_WINDOW,
+        )
+        assert len(grid.points) == 9
+        assert grid.max_error_pct <= 2.0
+        assert grid.mean_error_pct <= 1.0
+
     def test_grid_covers_the_cartesian_product(self):
         grid = resilience_grid(
             drop_probabilities=(0.05, 0.2), timeout_cycles=(1_000.0,),

@@ -28,7 +28,7 @@ from repro.characterization import characterize
 from repro.core import ThreadingDesign
 from repro.runtime import SCHEMA_VERSION, RunSpec
 from repro.simulator import SimulationConfig, run_simulation
-from repro.validation.matrix import _builds
+from repro.validation.matrix import synthetic_builds
 
 #: RunSummary fingerprints for
 #: characterize("cache1", seed=2020, num_cores=2, requests_target=...),
@@ -61,8 +61,9 @@ def test_matrix_cell_offload_counters_are_pinned():
     """One Table 6 cell (SYNC, alpha=0.3, 500-cycle interface), run the
     way :func:`~repro.validation.matrix.validate_cell` runs its
     accelerated side: every offload the service issues is served."""
-    _, build_accelerated, _ = _builds(
-        0.3, ThreadingDesign.SYNC, 500.0, 300.0, 8.0, 2
+    _, build_accelerated = synthetic_builds(
+        0.3, ThreadingDesign.SYNC, 8.0, 2,
+        interface_cycles=500.0, thread_switch_cycles=300.0,
     )
     result = run_simulation(
         build_accelerated,

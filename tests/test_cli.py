@@ -148,6 +148,23 @@ class TestSimulationCommands:
         assert "inference" in output
 
 
+class TestResilienceCommands:
+    """Every design the fault commands offer must run."""
+
+    def test_resilience_async_distinct_thread(self, capsys):
+        assert main([
+            "resilience", "--design", "async-distinct-thread",
+            "--drops", "0.1", "--timeouts", "4000", "--no-cache",
+        ]) == 0
+        assert "over 1 cells" in capsys.readouterr().out
+
+    def test_simulate_async_distinct_thread(self, capsys):
+        assert main(["simulate", "--design", "async-distinct-thread"]) == 0
+        assert "design:            async-distinct-thread" in (
+            capsys.readouterr().out
+        )
+
+
 class TestSharedDeviceCommands:
     def test_simulate_shared_device(self, capsys):
         assert main([
