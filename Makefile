@@ -68,7 +68,7 @@ hotcore:
 perf:
 	$(PYTHON) -m pytest -m perf benchmarks/test_perf_runtime.py -q
 
-# Absolute numbers: events/sec + batch wall-clock, written to BENCH_runtime.json.
+# Absolute numbers: requests/s and ops/s + batch wall-clock, written to BENCH_runtime.json.
 bench:
 	$(PYTHON) scripts/bench_runtime.py --workers $(WORKERS)
 

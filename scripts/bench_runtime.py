@@ -1,15 +1,18 @@
 #!/usr/bin/env python
-"""Benchmark the simulation runtime: DES event rate and batch wall-clock.
+"""Benchmark the simulation runtime: DES throughput and batch wall-clock.
 
 Measures six things and writes them to ``BENCH_runtime.json``:
 
-1. **DES hot path** -- sustained events/second of the engine+CPU core
-   loop on the Cache1 characterization workload (single process, the
-   number the hot-path optimizations move).
+1. **DES hot path** -- sustained requests/second and charged ops/second
+   of the engine+CPU core loop on the Cache1 characterization workload
+   (single process, the numbers the hot-path optimizations move).  An
+   op is one piece of core time (a ``Compute`` or a burst piece); one
+   event can carry hundreds of them, so the event count is reported
+   beside the rates but is not a rate's denominator.
 2. **Ring-buffer tracing** -- per-event recording overhead of the span
    tracer's flat ring path (decode excluded), the one-time decode cost,
    and the end-to-end traced/untraced ratio the v2 schema reported.
-3. **Compiled kernel** -- events/second of the optional C hot core
+3. **Compiled kernel** -- requests/second of the optional C hot core
    (``repro._hotcore``) against the pure-Python engine on the same
    workload, plus which path ``REPRO_COMPILED`` selected.
 4. **Batch executor** -- wall-clock of the 24-cell validation matrix run
@@ -87,21 +90,34 @@ def _cache1_runner(window_cycles: float = _WINDOW):
     return run_once
 
 
-def bench_event_rate(repeat: int = 5, window_cycles: float = _WINDOW) -> dict:
-    """Events/second of the DES hot path (best and median of *repeat*)."""
+def _work(result) -> dict:
+    """The deterministic work counts of one run."""
+    return {
+        "requests": result.completed_requests,
+        "ops": result.metrics.charged_ops,
+        "events": result.events_processed,
+    }
+
+
+def bench_hot_path(repeat: int = 5, window_cycles: float = _WINDOW) -> dict:
+    """Requests/second and ops/second of the DES hot path (best and
+    median of *repeat*; both rates from the same wall times)."""
     run_once = _cache1_runner(window_cycles)
-    rates = []
-    events = 0
+    walls = []
+    work = {}
     for _ in range(repeat):
         result, elapsed = run_once()
-        events = result.events_processed
-        rates.append(events / elapsed)
-    best = max(rates)
+        work = _work(result)
+        walls.append(elapsed)
+    best, median = min(walls), statistics.median(walls)
     return {
-        "events": events,
-        "wall_seconds": events / best,
-        "events_per_second": best,
-        "median_events_per_second": statistics.median(rates),
+        **work,
+        "wall_seconds": best,
+        "requests_per_second": work["requests"] / best,
+        "median_requests_per_second": work["requests"] / median,
+        "ops_per_second": work["ops"] / best,
+        "median_ops_per_second": work["ops"] / median,
+        "events_per_second": work["events"] / best,
         "samples": repeat,
     }
 
@@ -118,18 +134,18 @@ def bench_tracing_overhead(repeat: int = 5,
 
     run_once = _cache1_runner(window_cycles)
     off, on, ratios = [], [], []
-    events = 0
+    work = {}
     for _ in range(repeat):
         result, off_seconds = run_once()
-        events = result.events_processed
+        work = _work(result)
         _, on_seconds = run_once(SpanTracer(label="bench"))
         off.append(off_seconds)
         on.append(on_seconds)
         ratios.append(on_seconds / off_seconds - 1.0)
     return {
-        "events": events,
-        "untraced_events_per_second": events / min(off),
-        "traced_events_per_second": events / min(on),
+        **work,
+        "untraced_requests_per_second": work["requests"] / min(off),
+        "traced_requests_per_second": work["requests"] / min(on),
         "overhead_pct": statistics.median(ratios) * 100.0,
         "best_pair_overhead_pct": min(ratios) * 100.0,
         "samples": repeat,
@@ -155,10 +171,10 @@ def bench_ring_tracing(repeat: int = 5, window_cycles: float = _WINDOW) -> dict:
 
     run_once = _cache1_runner(window_cycles)
     ratios = []
-    events = 0
+    work = {}
     for _ in range(repeat):
         result, off_seconds = run_once()
-        events = result.events_processed
+        work = _work(result)
         _, on_seconds = run_once(RecordOnlyTracer(label="bench"))
         ratios.append(on_seconds / off_seconds - 1.0)
 
@@ -172,7 +188,7 @@ def bench_ring_tracing(repeat: int = 5, window_cycles: float = _WINDOW) -> dict:
 
     sink = tracer_module._COMPILED_SINK
     return {
-        "events": events,
+        **work,
         "recording_overhead_pct": min(ratios) * 100.0,
         "recording_overhead_median_pct": statistics.median(ratios) * 100.0,
         "decode_seconds": decode_seconds,
@@ -198,12 +214,12 @@ def bench_compiled_kernel(repeat: int = 5,
     run_once = _cache1_runner(window_cycles)
     selected_engine = runner.Engine
     compiled, pure, ratios = [], [], []
-    events = 0
+    work = {}
     try:
         for _ in range(repeat):
             runner.Engine = selected_engine
             result, selected_seconds = run_once()
-            events = result.events_processed
+            work = _work(result)
             runner.Engine = hotcore.PyEngine
             _, pure_seconds = run_once()
             compiled.append(selected_seconds)
@@ -213,9 +229,9 @@ def bench_compiled_kernel(repeat: int = 5,
         runner.Engine = selected_engine
     return {
         "status": hotcore.status(),
-        "events": events,
-        "selected_events_per_second": events / min(compiled),
-        "pure_events_per_second": events / min(pure),
+        **work,
+        "selected_requests_per_second": work["requests"] / min(compiled),
+        "pure_requests_per_second": work["requests"] / min(pure),
         "speedup": statistics.median(ratios),
         "best_pair_speedup": max(ratios),
         "samples": repeat,
@@ -232,8 +248,10 @@ def bench_characterize(repeat: int = 2) -> dict:
         if best is None or elapsed < best["wall_seconds"]:
             best = {
                 "wall_seconds": elapsed,
-                "events": run.simulation.events_processed,
-                "events_per_second": run.simulation.events_processed / elapsed,
+                **_work(run.simulation),
+                "requests_per_second": (
+                    run.simulation.completed_requests / elapsed
+                ),
             }
     return best
 
@@ -329,10 +347,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     print("benchmarking DES hot path ...", flush=True)
-    event_rate = bench_event_rate(repeat=args.repeat)
-    print(f"  {event_rate['events_per_second']:,.0f} events/s best, "
-          f"{event_rate['median_events_per_second']:,.0f} median "
-          f"({event_rate['events']} events)")
+    hot_path = bench_hot_path(repeat=args.repeat)
+    print(f"  {hot_path['requests_per_second']:,.0f} requests/s and "
+          f"{hot_path['ops_per_second']:,.0f} ops/s best, "
+          f"{hot_path['median_requests_per_second']:,.0f} requests/s median "
+          f"({hot_path['requests']} requests, {hot_path['ops']} ops, "
+          f"{hot_path['events']} events)")
 
     print("benchmarking ring-buffer tracing ...", flush=True)
     ring = bench_ring_tracing(repeat=args.repeat)
@@ -343,20 +363,22 @@ def main(argv=None) -> int:
 
     print("benchmarking end-to-end tracing overhead ...", flush=True)
     tracing = bench_tracing_overhead(repeat=args.repeat)
-    print(f"  untraced {tracing['untraced_events_per_second']:,.0f} events/s | "
-          f"traced {tracing['traced_events_per_second']:,.0f} events/s "
+    print(f"  untraced {tracing['untraced_requests_per_second']:,.0f} "
+          f"requests/s | traced "
+          f"{tracing['traced_requests_per_second']:,.0f} requests/s "
           f"({tracing['overhead_pct']:+.1f}% median pair)")
 
     print("benchmarking compiled kernel ...", flush=True)
     kernel = bench_compiled_kernel(repeat=args.repeat)
     print(f"  engine {kernel['status']['engine']} "
-          f"{kernel['selected_events_per_second']:,.0f} events/s | "
-          f"pure {kernel['pure_events_per_second']:,.0f} events/s | "
+          f"{kernel['selected_requests_per_second']:,.0f} requests/s | "
+          f"pure {kernel['pure_requests_per_second']:,.0f} requests/s | "
           f"median speedup {kernel['speedup']:.2f}x")
 
     print("benchmarking characterization ...", flush=True)
     char = bench_characterize()
-    print(f"  cache1 characterization: {char['wall_seconds']:.2f}s")
+    print(f"  cache1 characterization: {char['wall_seconds']:.2f}s "
+          f"({char['requests_per_second']:,.0f} requests/s)")
 
     print(f"benchmarking 24-cell matrix (workers={args.workers}) ...",
           flush=True)
@@ -375,12 +397,12 @@ def main(argv=None) -> int:
           f"{batch_telemetry['spans_per_batch']} spans)")
 
     payload = {
-        "schema": "bench-runtime-v4",
+        "schema": "bench-runtime-v5",
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "cpu_affinity": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity") else None,
-        "event_rate": event_rate,
+        "hot_path": hot_path,
         "ring_buffer_tracing": ring,
         "tracing_overhead": tracing,
         "compiled_kernel": kernel,

@@ -9,13 +9,16 @@
  *     heapq over (time, seq, callback) tuples -- sequences are unique,
  *     so lexicographic (time, seq) is the exact tuple order.
  *   - The Compute fast path performs the same float additions in the
- *     same order on the same metrics dict (first-touch insertion order
- *     matches defaultdict __missing__), and raises SimulationError with
- *     the same messages at the same boundaries.
+ *     same order on the same dict -- the running thread's ledger
+ *     (thread.ledger.cycles, first-touch insertion order matching
+ *     defaultdict __missing__) -- counts the op in thread.ledger.ops,
+ *     and raises SimulationError with the same messages at the same
+ *     boundaries.
  *   - Anything that is not a Compute advance bounces back to the
- *     interpreter: CPU._handle_slow_op for blocking ops and
+ *     interpreter: CPU._handle_slow_op for bursts and blocking ops and
  *     CPU._finish for thread completion, so scheduler semantics have a
- *     single home in cpu.py.
+ *     single home in cpu.py.  The engine exposes its drain horizon
+ *     (``horizon``) exactly as PyEngine does, for the burst walk.
  *
  * IntervalSink is the C twin of
  * repro.observability.ringbuffer.PyIntervalSink: flat (t0, t1, meta)
@@ -44,7 +47,7 @@
 static PyObject *str_current, *str_body, *str_cycles, *str_functionality,
     *str_leaf, *str_kind, *str_value, *str_trace, *str_trace_ctx,
     *str_record_interval, *str_tag, *str_packed, *str_sink_attr,
-    *str_metrics;
+    *str_ledger, *str_ops;
 static PyObject *SimulationError;
 
 /* =====================================================================
@@ -378,6 +381,7 @@ typedef struct {
     Py_ssize_t size;
     Py_ssize_t cap;
     double now;
+    double horizon; /* drain horizon: see PyEngine.horizon */
     long long seq;
     long long processed;
     PyObject *compute_type; /* loaded at first bind_cpu() */
@@ -391,7 +395,6 @@ typedef struct {
     PyObject_HEAD
     EngineObject *engine;
     PyObject *cpu;
-    PyObject *metrics_cycles;
     PyObject *slow_op;   /* cpu._handle_slow_op */
     PyObject *finish_cb; /* cpu._finish */
 } BindingObject;
@@ -405,7 +408,6 @@ binding_traverse(BindingObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->engine);
     Py_VISIT(self->cpu);
-    Py_VISIT(self->metrics_cycles);
     Py_VISIT(self->slow_op);
     Py_VISIT(self->finish_cb);
     return 0;
@@ -416,7 +418,6 @@ binding_clear(BindingObject *self)
 {
     Py_CLEAR(self->engine);
     Py_CLEAR(self->cpu);
-    Py_CLEAR(self->metrics_cycles);
     Py_CLEAR(self->slow_op);
     Py_CLEAR(self->finish_cb);
     return 0;
@@ -657,36 +658,63 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
         goto fail_cycles;
     }
 
-    /* metrics.cycles[(f, l, k)] += cycles -- same first-touch insertion
-     * order as defaultdict(float).__missing__, values always float. */
-    PyObject *key = PyTuple_Pack(3, f, l, k);
-    if (key == NULL) {
+    /* ledger = thread.ledger; ledger.cycles[(f, l, k)] += cycles --
+     * same first-touch insertion order as defaultdict(float).__missing__,
+     * values always float -- then ledger.ops += 1. */
+    PyObject *ledger = PyObject_GetAttr(thread, str_ledger);
+    if (ledger == NULL) {
         goto fail_flk;
     }
-    PyObject *existing =
-        PyDict_GetItemWithError(binding->metrics_cycles, key);
+    PyObject *ledger_cycles = PyObject_GetAttr(ledger, str_cycles);
+    if (ledger_cycles == NULL) {
+        Py_DECREF(ledger);
+        goto fail_flk;
+    }
+    if (!PyDict_Check(ledger_cycles)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "thread.ledger.cycles must be a dict subclass");
+        goto fail_ledger;
+    }
+    PyObject *key = PyTuple_Pack(3, f, l, k);
+    if (key == NULL) {
+        goto fail_ledger;
+    }
+    PyObject *existing = PyDict_GetItemWithError(ledger_cycles, key);
     double total = cycles;
     if (existing != NULL) {
         double old = PyFloat_AsDouble(existing);
         if (old == -1.0 && PyErr_Occurred()) {
             Py_DECREF(key);
-            goto fail_flk;
+            goto fail_ledger;
         }
         total = old + cycles;
     }
     else if (PyErr_Occurred()) {
         Py_DECREF(key);
-        goto fail_flk;
+        goto fail_ledger;
     }
     PyObject *total_obj = PyFloat_FromDouble(total);
     if (total_obj == NULL ||
-        PyDict_SetItem(binding->metrics_cycles, key, total_obj) < 0) {
+        PyDict_SetItem(ledger_cycles, key, total_obj) < 0) {
         Py_XDECREF(total_obj);
         Py_DECREF(key);
-        goto fail_flk;
+        goto fail_ledger;
     }
     Py_DECREF(total_obj);
     Py_DECREF(key);
+    PyObject *ops = PyObject_GetAttr(ledger, str_ops);
+    PyObject *one = ops ? PyLong_FromLong(1) : NULL;
+    PyObject *next_ops = one ? PyNumber_Add(ops, one) : NULL;
+    Py_XDECREF(one);
+    Py_XDECREF(ops);
+    if (next_ops == NULL ||
+        PyObject_SetAttr(ledger, str_ops, next_ops) < 0) {
+        Py_XDECREF(next_ops);
+        goto fail_ledger;
+    }
+    Py_DECREF(next_ops);
+    Py_DECREF(ledger_cycles);
+    Py_DECREF(ledger);
 
     /* Gated trace hook (zero-observer: write-only, no scheduling). */
     PyObject *trace = PyObject_GetAttr(binding->cpu, str_trace);
@@ -763,6 +791,9 @@ engine_advance_core(EngineObject *self, BindingObject *binding,
     Py_DECREF(op);
     return 0;
 
+fail_ledger:
+    Py_DECREF(ledger_cycles);
+    Py_DECREF(ledger);
 fail_flk:
     Py_DECREF(k);
     Py_DECREF(l);
@@ -864,7 +895,10 @@ engine_step(EngineObject *self, PyObject *Py_UNUSED(ignored))
     Event event = heap_pop(self);
     self->now = event.time;
     self->processed++;
-    if (engine_dispatch(self, &event) < 0) {
+    self->horizon = Py_HUGE_VAL;
+    int status = engine_dispatch(self, &event);
+    self->horizon = self->now;
+    if (status < 0) {
         return NULL;
     }
     Py_RETURN_TRUE;
@@ -901,6 +935,7 @@ engine_run_until(EngineObject *self, PyObject *args, PyObject *kwargs)
             return NULL;
         }
     }
+    self->horizon = horizon;
     long long processed = 0;
     while (self->size > 0 && self->heap[0].time <= horizon) {
         if (processed == limit) {
@@ -943,7 +978,10 @@ engine_run_to_completion(EngineObject *self, PyObject *args, PyObject *kwargs)
         Event event = heap_pop(self);
         self->now = event.time;
         self->processed++;
-        if (engine_dispatch(self, &event) < 0) {
+        self->horizon = Py_HUGE_VAL;
+        int status = engine_dispatch(self, &event);
+        self->horizon = self->now;
+        if (status < 0) {
             return NULL;
         }
         processed++;
@@ -969,30 +1007,13 @@ engine_run_to_completion(EngineObject *self, PyObject *args, PyObject *kwargs)
 static PyObject *
 engine_bind_cpu(EngineObject *self, PyObject *cpu)
 {
-    PyObject *metrics = PyObject_GetAttr(cpu, str_metrics);
-    if (metrics == NULL) {
-        return NULL;
-    }
-    PyObject *cycles = PyObject_GetAttr(metrics, str_cycles);
-    Py_DECREF(metrics);
-    if (cycles == NULL) {
-        return NULL;
-    }
-    if (!PyDict_Check(cycles)) {
-        Py_DECREF(cycles);
-        PyErr_SetString(PyExc_TypeError,
-                        "cpu.metrics.cycles must be a dict subclass");
-        return NULL;
-    }
     PyObject *cpu_module = PyImport_ImportModule("repro.simulator.cpu");
     if (cpu_module == NULL) {
-        Py_DECREF(cycles);
         return NULL;
     }
     PyObject *compute = PyObject_GetAttrString(cpu_module, "Compute");
     Py_DECREF(cpu_module);
     if (compute == NULL) {
-        Py_DECREF(cycles);
         return NULL;
     }
     PyObject *slow = PyObject_GetAttrString(cpu, "_handle_slow_op");
@@ -1000,7 +1021,6 @@ engine_bind_cpu(EngineObject *self, PyObject *cpu)
     if (finish == NULL) {
         Py_XDECREF(slow);
         Py_DECREF(compute);
-        Py_DECREF(cycles);
         return NULL;
     }
     BindingObject *binding = PyObject_GC_New(BindingObject, &BindingType);
@@ -1008,14 +1028,12 @@ engine_bind_cpu(EngineObject *self, PyObject *cpu)
         Py_DECREF(finish);
         Py_DECREF(slow);
         Py_DECREF(compute);
-        Py_DECREF(cycles);
         return NULL;
     }
     Py_INCREF(self);
     binding->engine = self;
     Py_INCREF(cpu);
     binding->cpu = cpu;
-    binding->metrics_cycles = cycles;
     binding->slow_op = slow;
     binding->finish_cb = finish;
     PyObject_GC_Track(binding);
@@ -1030,6 +1048,12 @@ static PyObject *
 engine_get_now(EngineObject *self, void *Py_UNUSED(closure))
 {
     return PyFloat_FromDouble(self->now);
+}
+
+static PyObject *
+engine_get_horizon(EngineObject *self, void *Py_UNUSED(closure))
+{
+    return PyFloat_FromDouble(self->horizon);
 }
 
 static PyObject *
@@ -1061,6 +1085,7 @@ engine_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     self->heap = NULL;
     self->size = self->cap = 0;
     self->now = 0.0;
+    self->horizon = 0.0;
     self->seq = 0;
     self->processed = 0;
     self->compute_type = NULL;
@@ -1126,6 +1151,9 @@ static PyMethodDef engine_methods[] = {
 static PyGetSetDef engine_getset[] = {
     {"now", (getter)engine_get_now, NULL,
      "Current simulated time in host cycles.", NULL},
+    {"horizon", (getter)engine_get_horizon, NULL,
+     "Drain horizon: the run_until horizon, +inf inside step and "
+     "run_to_completion, now outside any drain.", NULL},
     {"events_processed", (getter)engine_get_processed, NULL,
      "Events processed so far.", NULL},
     {"pending_events", (getter)engine_get_pending, NULL,
@@ -1182,7 +1210,8 @@ intern_names(void)
     INTERN(str_tag, "tag");
     INTERN(str_packed, "packed");
     INTERN(str_sink_attr, "_sink");
-    INTERN(str_metrics, "metrics");
+    INTERN(str_ledger, "ledger");
+    INTERN(str_ops, "ops");
 #undef INTERN
     return 0;
 }

@@ -126,7 +126,7 @@ CONTRACTS: Dict[str, ParityContract] = {
             ),
         ),
         twinned_methods=("repro.simulator.cpu.CPU._advance",),
-        hook_roots=frozenset({"trace", "metrics"}),
+        hook_roots=frozenset({"trace", "metrics", "ledger"}),
         twinned_c_anchor="engine_advance_core",
         external_attrs=frozenset({"value", "name"}),
         internal_names=frozenset({"BoundAdvance"}),
@@ -414,9 +414,9 @@ def hot_path_hooks(
     """Every observability hook the twinned Python methods fire.
 
     A hook is an attribute chain that passes *through* one of the
-    contract's hook roots (``trace``/``metrics``) -- the access that
-    actually touches tracer or metrics state, as opposed to fetching the
-    tracer object itself.  Deduplicated by (chain, line), source order.
+    contract's hook roots (``trace``/``metrics``/``ledger``) -- the access
+    that actually touches tracer or metrics state, as opposed to fetching
+    the tracer object itself.  Deduplicated by (chain, line), source order.
     """
     hooks: List[Hook] = []
     seen = set()

@@ -18,8 +18,10 @@ from ..canonical import canonical_digest, canonicalize
 
 #: Version salt folded into every cache key.  Bump whenever the meaning
 #: of a runner, the summary schema, or the simulator's RNG stream
-#: changes: old cache entries become unreachable instead of stale.
-SCHEMA_VERSION = "accelerometer-runtime-v4"
+#: changes: old cache entries become unreachable instead of stale.  (v5:
+#: order-independent cycle accounting moved the last bits of the float
+#: totals, and coalesced bursts the event count, of every RunSummary.)
+SCHEMA_VERSION = "accelerometer-runtime-v5"
 
 
 @dataclasses.dataclass(frozen=True)

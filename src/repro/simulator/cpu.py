@@ -18,6 +18,15 @@ blocking primitives map one-to-one onto the paper's threading designs:
 Thread-switch charges are driven explicitly by the offload runtime (in
 :mod:`repro.simulator.service`) rather than implicitly by the scheduler, so
 the simulated cost structure matches the analytical model term for term.
+
+Non-blocking work between two blocking points is yielded as one
+:class:`Burst`.  The CPU model has no preemption, so nothing can run on
+the thread's core until the burst ends: :meth:`CPU._handle_slow_op`
+charges every piece inside one event, on a local clock that repeats the
+per-op float additions, and schedules a single continuation.  A piece is
+charged only if it starts at or before the engine's drain horizon, so a
+window that ends mid-burst charges exactly what one ``Compute`` per piece
+would have.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from typing import Callable, Deque, Generator, List, Optional
 from ..errors import SimulationError
 from ..paperdata.categories import FunctionalityCategory, LeafCategory
 from .engine import Engine
-from .metrics import CycleKind, MetricSink
+from .metrics import CycleKind, Ledger, MetricSink
 
 # ---------------------------------------------------------------------------
 # Operations a thread body can yield.
@@ -81,7 +90,23 @@ class YieldCore:
     """
 
 
-ThreadOp = object  # Compute | HoldCore | ReleaseCore | YieldCore
+@dataclasses.dataclass(frozen=True, slots=True)
+class Burst:
+    """Non-blocking core time charged as one event.
+
+    *runs* is a sequence of ``(functionality, leaf, kernel, cycles)``
+    tuples charged in order as :attr:`CycleKind.USEFUL` time: *cycles*
+    is a list or tuple of piece lengths.  When *kernel* is a name, every
+    piece is also one host call of that kernel
+    (``MetricSink.charge_kernel``), whatever its length; otherwise every
+    piece is positive.  Charging is exactly that of one :class:`Compute`
+    per positive piece.
+    """
+
+    runs: list
+
+
+ThreadOp = object  # Compute | Burst | HoldCore | ReleaseCore | YieldCore
 ThreadBody = Generator[ThreadOp, None, None]
 
 
@@ -108,11 +133,17 @@ class SimThread:
         "block_leaf",
         "advance_callback",
         "trace_ctx",
+        "ledger",
     )
 
     _next_id = 0
 
-    def __init__(self, body: ThreadBody, name: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        body: ThreadBody,
+        name: Optional[str] = None,
+        ledger: Optional[Ledger] = None,
+    ) -> None:
         SimThread._next_id += 1
         self.thread_id = SimThread._next_id
         self.name = name or f"thread-{self.thread_id}"
@@ -130,6 +161,9 @@ class SimThread:
         #: Per-request tracing context, set by the service runtime while a
         #: traced request runs on this thread (None on untraced runs).
         self.trace_ctx = None
+        #: This thread's charge source (:meth:`CPU.spawn` passes one
+        #: registered with the CPU's metric sink).
+        self.ledger = Ledger() if ledger is None else ledger
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimThread {self.name} {self.state.value}>"
@@ -138,12 +172,14 @@ class SimThread:
 class Core:
     """One logical core."""
 
-    __slots__ = ("index", "current", "idle_since")
+    __slots__ = ("index", "current", "idle_since", "ledger")
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, ledger: Ledger) -> None:
         self.index = index
         self.current: Optional[SimThread] = None
         self.idle_since: Optional[float] = 0.0
+        #: Charge source of the core's idle time.
+        self.ledger = ledger
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Core {self.index} running={self.current}>"
@@ -165,7 +201,9 @@ class CPU:
             raise SimulationError("need at least one core")
         self.engine = engine
         self.metrics = metrics
-        self.cores: List[Core] = [Core(i) for i in range(num_cores)]
+        self.cores: List[Core] = [
+            Core(i, metrics.ledger()) for i in range(num_cores)
+        ]
         self.run_queue: Deque[SimThread] = deque()
         self._on_thread_done: List[Callable[[SimThread], None]] = []
         #: Optional :class:`~repro.observability.SpanTracer`.  Every hook
@@ -191,7 +229,9 @@ class CPU:
         """Create a thread from *body_factory* (which receives the thread
         object, so bodies can reference themselves in offload callbacks)
         and make it runnable."""
-        thread = SimThread(body=iter(()), name=name)
+        thread = SimThread(
+            body=iter(()), name=name, ledger=self.metrics.ledger()
+        )
         thread.body = body_factory(thread)
         self._make_runnable(thread)
         return thread
@@ -208,6 +248,7 @@ class CPU:
                 thread.block_functionality,
                 thread.block_leaf,
                 CycleKind.BLOCKED,
+                thread.ledger,
             )
             trace = self.trace
             if trace is not None:
@@ -258,6 +299,7 @@ class CPU:
                     FunctionalityCategory.MISCELLANEOUS,
                     LeafCategory.MISCELLANEOUS,
                     CycleKind.IDLE,
+                    core.ledger,
                 )
                 core.idle_since = horizon
             thread = core.current
@@ -271,6 +313,7 @@ class CPU:
                     thread.block_functionality,
                     thread.block_leaf,
                     CycleKind.BLOCKED,
+                    thread.ledger,
                 )
                 thread.block_started = horizon
 
@@ -293,6 +336,7 @@ class CPU:
                 FunctionalityCategory.MISCELLANEOUS,
                 LeafCategory.MISCELLANEOUS,
                 CycleKind.IDLE,
+                core.ledger,
             )
             core.idle_since = None
         core.current = thread
@@ -309,6 +353,7 @@ class CPU:
                 FunctionalityCategory.THREAD_POOL,
                 LeafCategory.KERNEL,
                 CycleKind.THREAD_SWITCH,
+                thread.ledger,
             )
             trace = self.trace
             if trace is not None:
@@ -342,7 +387,9 @@ class CPU:
             cycles = op.cycles
             if cycles < 0:
                 raise SimulationError(f"cannot compute negative cycles: {cycles}")
-            self.metrics.cycles[(op.functionality, op.leaf, op.kind)] += cycles
+            ledger = thread.ledger
+            ledger.cycles[(op.functionality, op.leaf, op.kind)] += cycles
+            ledger.ops += 1
             trace = self.trace
             if trace is not None:
                 context = thread.trace_ctx
@@ -365,13 +412,15 @@ class CPU:
             self._handle_slow_op(core, thread, op)
 
     def _handle_slow_op(self, core: Core, thread: SimThread, op) -> None:
-        """Advance past a non-Compute op: the blocking primitives.
+        """Advance past a non-Compute op: a burst or a blocking primitive.
 
         Split out of :meth:`_advance` so the compiled drain loop can run
-        Compute chains natively and delegate only these (rare) ops back
-        to the interpreter.
+        Compute chains natively and delegate only these ops back to the
+        interpreter.
         """
-        if isinstance(op, HoldCore):
+        if type(op) is Burst:
+            self._run_burst(core, thread, op.runs, 0, 0)
+        elif isinstance(op, HoldCore):
             thread.state = ThreadState.BLOCKED_HOLD
             thread.block_started = self.engine.now
             thread.block_functionality = op.functionality
@@ -395,6 +444,89 @@ class CPU:
             self._dispatch(core)
         else:
             raise SimulationError(f"unknown thread op: {op!r}")
+
+    def _run_burst(
+        self, core: Core, thread: SimThread, runs, run_index: int, start: int
+    ) -> None:
+        """Charge a burst's pieces from ``runs[run_index][start]`` on, in
+        this event, then schedule the thread's continuation.
+
+        The local clock ``t`` takes the same ``t + cycles`` steps as one
+        event per piece would, and each ledger total takes the same
+        additions in the same order.  A piece that starts after the
+        engine's drain horizon is left uncharged: the continuation
+        resumes the burst at that piece, at that piece's start time,
+        exactly when the per-piece event would have fired.
+        """
+        engine = self.engine
+        t = engine.now
+        horizon = engine.horizon
+        ledger = thread.ledger
+        cycles_by_key = ledger.cycles
+        trace = self.trace
+        context = thread.trace_ctx
+        useful = CycleKind.USEFUL
+        ops = 0
+        for index in range(run_index, len(runs)):
+            functionality, leaf, kernel, pieces = runs[index]
+            if start:
+                pieces = pieces[start:]
+            key = (functionality, leaf, useful)
+            total = cycles_by_key.get(key, 0.0)
+            charged = positive = 0
+            if kernel is None:
+                for cycles in pieces:
+                    if t > horizon:
+                        break
+                    charged += 1
+                    total = total + cycles
+                    if trace is not None and context is not None:
+                        trace.record_interval(
+                            context, t, t + cycles, functionality, leaf, useful
+                        )
+                    t = t + cycles
+                positive = charged
+            else:
+                origin = (kernel, functionality)
+                kernel_total = ledger.kernel_cycles.get(kernel, 0.0)
+                origin_total = ledger.kernel_cycles_by_origin.get(origin, 0.0)
+                for cycles in pieces:
+                    if t > horizon:
+                        break
+                    charged += 1
+                    kernel_total = kernel_total + cycles
+                    origin_total = origin_total + cycles
+                    if cycles > 0:
+                        positive += 1
+                        total = total + cycles
+                        if trace is not None and context is not None:
+                            trace.record_interval(
+                                context, t, t + cycles, functionality, leaf,
+                                useful,
+                            )
+                        t = t + cycles
+                if charged:
+                    ledger.invocations[kernel] += charged
+                    ledger.kernel_cycles[kernel] = kernel_total
+                    ledger.kernel_cycles_by_origin[origin] = origin_total
+            if positive:
+                cycles_by_key[key] = total
+                ops += positive
+            if charged < len(pieces):
+                start += charged
+                break
+            start = 0
+        else:
+            if ops:
+                ledger.ops += ops
+                engine.at(t, thread.advance_callback)
+            else:
+                # Only zero-length kernel calls: no piece took core time,
+                # so the thread continues within this event.
+                self._advance(core, thread)
+            return
+        ledger.ops += ops
+        engine.at(t, lambda: self._run_burst(core, thread, runs, index, start))
 
     def _finish(self, core: Core, thread: SimThread) -> None:
         thread.state = ThreadState.DONE

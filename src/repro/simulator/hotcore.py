@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 import warnings
 from typing import Callable, List, Optional, Tuple
@@ -58,18 +59,28 @@ class PyEngine:
     locals.
     """
 
-    __slots__ = ("_now", "_sequence", "_queue", "_events_processed")
+    __slots__ = ("_now", "_sequence", "_queue", "_events_processed",
+                 "_horizon")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._sequence = itertools.count()
         self._queue: List[Tuple[float, int, Callback]] = []
         self._events_processed = 0
+        self._horizon = 0.0
 
     @property
     def now(self) -> float:
         """Current simulated time in host cycles."""
         return self._now
+
+    @property
+    def horizon(self) -> float:
+        """The drain horizon: the latest time whose events the current
+        drain will still process.  The ``run_until`` horizon inside
+        :meth:`run_until`, +inf inside :meth:`step` (and so
+        :meth:`run_to_completion`), and :attr:`now` outside any drain."""
+        return self._horizon
 
     @property
     def events_processed(self) -> int:
@@ -102,7 +113,11 @@ class PyEngine:
         time, _, callback = heapq.heappop(self._queue)
         self._now = time
         self._events_processed += 1
-        callback()
+        self._horizon = math.inf
+        try:
+            callback()
+        finally:
+            self._horizon = self._now
         return True
 
     def run_until(self, horizon: float, max_events: Optional[int] = None) -> None:
@@ -117,6 +132,7 @@ class PyEngine:
             raise SimulationError(
                 f"horizon {horizon} is before current time {self._now}"
             )
+        self._horizon = horizon
         queue = self._queue
         pop = heapq.heappop
         limit = max_events if max_events is not None else -1
@@ -195,7 +211,9 @@ class BlockSampler:
         if count <= available:
             self._index = index + count
             return buffer[index : index + count].copy()
-        parts = [buffer[index:]]
+        # Skip an exhausted buffer: the empty initial one would turn an
+        # integer draw into floats.
+        parts = [buffer[index:]] if available else []
         remaining = count - available
         block_size = self._block_size
         while remaining > block_size:

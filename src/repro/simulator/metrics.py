@@ -7,12 +7,20 @@ tagging tools produce -- and records per-request latencies, offload
 statistics, and core utilization.  The profiling layer
 (:mod:`repro.profiling`) consumes these counters to regenerate the
 characterization figures.
+
+Cycle accounting is order-independent: every simulated thread and core
+charges its own :class:`Ledger` in program order, and the sink's totals
+merge the ledgers per key with :func:`math.fsum` (exact, then rounded
+once).  How the event loop interleaves threads -- one event per
+``Compute`` or one per coalesced burst -- cannot move a bit of any
+total.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
@@ -110,32 +118,65 @@ class RequestRecord:
         return self.completed_at - self.started_at
 
 
-class MetricSink:
-    """Accumulates simulator measurements."""
+CycleKey = Tuple[FunctionalityCategory, LeafCategory, CycleKind]
 
-    __slots__ = ("cycles", "offloads", "requests", "kernel_invocations",
-                 "kernel_cycles", "kernel_cycles_by_origin", "faults")
+
+class Ledger:
+    """One charge source's partial sums, accumulated in program order.
+
+    A source is a simulated thread or core (or the sink itself, for
+    direct :meth:`MetricSink.charge` calls).  Its charges arrive in the
+    order its own program issues them, whatever the event loop does with
+    other sources, so each partial sum is interleaving-independent.
+    """
+
+    __slots__ = ("cycles", "invocations", "kernel_cycles",
+                 "kernel_cycles_by_origin", "ops")
 
     def __init__(self) -> None:
-        self.cycles: Dict[
-            Tuple[FunctionalityCategory, LeafCategory, CycleKind], float
-        ] = defaultdict(float)
-        self.offloads: List[OffloadRecord] = []
-        self.requests: List[RequestRecord] = []
-        self.kernel_invocations: Dict[str, int] = defaultdict(int)
+        self.cycles: Dict[CycleKey, float] = defaultdict(float)
+        self.invocations: Dict[str, int] = defaultdict(int)
         self.kernel_cycles: Dict[str, float] = defaultdict(float)
-        #: Host cycles per (kernel, functionality-origin) -- Fig. 4's
-        #: attribution of memory copies to service functionalities.
         self.kernel_cycles_by_origin: Dict[
             Tuple[str, FunctionalityCategory], float
         ] = defaultdict(float)
+        #: Thread ops charged: one per ``Compute`` or burst piece of
+        #: positive core time, however many events carried them.
+        self.ops = 0
+
+
+def _key_order(key) -> tuple:
+    """Sort key for merged totals: enum components by value."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return tuple(
+        part.value if isinstance(part, enum.Enum) else part for part in parts
+    )
+
+
+class MetricSink:
+    """Accumulates simulator measurements."""
+
+    __slots__ = ("offloads", "requests", "faults", "_ledgers", "_own")
+
+    def __init__(self) -> None:
+        self.offloads: List[OffloadRecord] = []
+        self.requests: List[RequestRecord] = []
         #: Degraded-mode accounting per offloaded kernel.  Populated only
         #: when a fault injector actually adjudicated attempts, so a
         #: fault-free run's measurement record stays byte-identical to one
         #: taken before the fault layer existed.
         self.faults: Dict[str, FaultCounters] = {}
+        self._ledgers: List[Ledger] = []
+        #: The source of charges made without a ledger.
+        self._own = self.ledger()
 
     # -- cycle attribution ------------------------------------------------
+
+    def ledger(self) -> Ledger:
+        """A new charge source (one per simulated thread and core)."""
+        ledger = Ledger()
+        self._ledgers.append(ledger)
+        return ledger
 
     def charge(
         self,
@@ -143,23 +184,65 @@ class MetricSink:
         functionality: FunctionalityCategory,
         leaf: LeafCategory,
         kind: CycleKind = CycleKind.USEFUL,
+        ledger: Optional[Ledger] = None,
     ) -> None:
         if cycles < 0:
             raise ValueError(f"cannot charge negative cycles: {cycles}")
-        self.cycles[(functionality, leaf, kind)] += cycles
+        source = self._own if ledger is None else ledger
+        source.cycles[(functionality, leaf, kind)] += cycles
 
     def charge_kernel(
         self,
         kernel: str,
         cycles: float,
         origin: Optional[FunctionalityCategory] = None,
+        ledger: Optional[Ledger] = None,
     ) -> None:
         """Track named-kernel host cycles (for deriving alpha and the
         per-functionality kernel origins of Fig. 4)."""
-        self.kernel_invocations[kernel] += 1
-        self.kernel_cycles[kernel] += cycles
+        source = self._own if ledger is None else ledger
+        source.invocations[kernel] += 1
+        source.kernel_cycles[kernel] += cycles
         if origin is not None:
-            self.kernel_cycles_by_origin[(kernel, origin)] += cycles
+            source.kernel_cycles_by_origin[(kernel, origin)] += cycles
+
+    # -- merged totals -----------------------------------------------------
+
+    def _merged(self, attribute: str, total=math.fsum) -> dict:
+        parts: Dict[object, list] = defaultdict(list)
+        for ledger in self._ledgers:
+            for key, value in getattr(ledger, attribute).items():
+                parts[key].append(value)
+        merged = defaultdict(float if total is math.fsum else int)
+        for key in sorted(parts, key=_key_order):
+            merged[key] = total(parts[key])
+        return merged
+
+    @property
+    def cycles(self) -> Dict[CycleKey, float]:
+        """Cycles per (functionality, leaf, kind), merged over sources."""
+        return self._merged("cycles")
+
+    @property
+    def kernel_invocations(self) -> Dict[str, int]:
+        return self._merged("invocations", total=sum)
+
+    @property
+    def kernel_cycles(self) -> Dict[str, float]:
+        return self._merged("kernel_cycles")
+
+    @property
+    def kernel_cycles_by_origin(
+        self,
+    ) -> Dict[Tuple[str, FunctionalityCategory], float]:
+        """Host cycles per (kernel, functionality-origin) -- Fig. 4's
+        attribution of memory copies to service functionalities."""
+        return self._merged("kernel_cycles_by_origin")
+
+    @property
+    def charged_ops(self) -> int:
+        """Thread ops charged, summed over sources."""
+        return sum(ledger.ops for ledger in self._ledgers)
 
     def kernel_origin_shares(self, kernel: str) -> Dict[FunctionalityCategory, float]:
         """Fraction of *kernel*'s host cycles per functionality origin."""

@@ -149,14 +149,21 @@ def run_simulation(
     if tracer is not None:
         cpu.trace = tracer
         service.tracer = tracer
-    workers = config.num_cores * config.threads_per_core
-    for index in range(workers):
+    workers = [
         service.spawn_worker(request_stream(factory), name=f"worker-{index}")
+        for index in range(config.num_cores * config.threads_per_core)
+    ]
     engine.run_until(config.window_cycles, max_events=config.max_events)
     cpu.finalize(config.window_cycles)
     trace = None
     if tracer is not None:
         trace = tracer.finish()
+    # The window is over.  A live thread sits in a reference cycle with
+    # its body, so without this its request stream -- the factory's
+    # pre-sampled RNG blocks and the request in flight -- would outlive
+    # the run until the next full garbage collection.
+    for worker in workers:
+        worker.body.close()
     return SimulationResult(
         config=config, metrics=metrics, service=service, engine=engine,
         cpu=cpu, trace=trace,

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from collections.abc import Sequence
 from typing import (
     TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
+    Iterable,
     Iterator,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -35,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
 from .cpu import (
     CPU,
+    Burst,
     Compute,
     HoldCore,
     ReleaseCore,
@@ -76,6 +78,83 @@ class KernelInvocation:
     granularity: float
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class KernelRow:
+    """Consecutive calls to one kernel, as data: call ``i`` moves
+    ``granularities[i]`` bytes and costs ``host_cycles[i]`` host cycles
+    (``kernel.host_cycles(granularities[i])``, computed once per row)."""
+
+    kernel: KernelSpec
+    granularities: Sequence[float]
+    host_cycles: Sequence[float]
+
+    @classmethod
+    def of(cls, kernel: KernelSpec, granularities: Sequence[float]) -> "KernelRow":
+        return cls(
+            kernel, granularities, [kernel.host_cycles(g) for g in granularities]
+        )
+
+
+class KernelCalls(Sequence):
+    """A segment's kernel calls, stored as :class:`KernelRow` blocks.
+
+    Reads as a sequence of :class:`KernelInvocation` (built on demand);
+    the simulator walks :attr:`rows` directly, so a workload can emit one
+    row per kernel block instead of one object per call.
+    """
+
+    __slots__ = ("rows", "_count")
+
+    def __init__(self, rows: Tuple[KernelRow, ...] = ()) -> None:
+        self.rows = rows
+        count = 0
+        for row in rows:
+            if len(row.host_cycles) != len(row.granularities):
+                raise SimulationError(
+                    "kernel row needs one host cost per granularity"
+                )
+            count += len(row.granularities)
+        self._count = count
+
+    @classmethod
+    def of(cls, invocations: Iterable[KernelInvocation]) -> "KernelCalls":
+        """Group consecutive calls to the same kernel spec into rows."""
+        rows = []
+        kernel = None
+        sizes: list = []
+        for invocation in invocations:
+            if invocation.kernel is not kernel and invocation.kernel != kernel:
+                if sizes:
+                    rows.append(KernelRow.of(kernel, sizes))
+                kernel, sizes = invocation.kernel, []
+            sizes.append(invocation.granularity)
+        if sizes:
+            rows.append(KernelRow.of(kernel, sizes))
+        return cls(tuple(rows))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[KernelInvocation]:
+        for row in self.rows:
+            for granularity in row.granularities:
+                yield KernelInvocation(row.kernel, granularity)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"KernelCalls({list(self)!r})"
+
+
+_NO_CALLS = KernelCalls()
+
+
 def _miscellaneous_leaf_mix() -> Mapping[LeafCategory, float]:
     """Default leaf attribution: all plain cycles are miscellaneous."""
     return {LeafCategory.MISCELLANEOUS: 1.0}
@@ -92,7 +171,35 @@ class SegmentWork:
     leaf_mix: Mapping[LeafCategory, float] = dataclasses.field(
         default_factory=_miscellaneous_leaf_mix
     )
-    invocations: Tuple[KernelInvocation, ...] = ()
+    #: The segment's kernel calls; a plain tuple of
+    #: :class:`KernelInvocation` is stored as :class:`KernelCalls`.
+    invocations: Sequence[KernelInvocation] = ()
+    #: ``leaf_mix``'s total share, summed once in insertion order.
+    _share_total: float = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.plain_cycles < 0:
+            raise SimulationError(
+                f"segment plain_cycles must be >= 0, got {self.plain_cycles}"
+            )
+        total = 0.0
+        for leaf, share in self.leaf_mix.items():
+            if share < 0:
+                raise SimulationError(
+                    f"segment leaf_mix share of {leaf} must be >= 0, got {share}"
+                )
+            total += share
+        if total <= 0:
+            raise SimulationError("segment leaf_mix must have positive mass")
+        object.__setattr__(self, "_share_total", total)
+        if not isinstance(self.invocations, KernelCalls):
+            object.__setattr__(
+                self, "invocations",
+                KernelCalls.of(self.invocations) if self.invocations
+                else _NO_CALLS,
+            )
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -106,8 +213,9 @@ class RequestSpec:
         total = 0.0
         for segment in self.segments:
             total += segment.plain_cycles
-            for invocation in segment.invocations:
-                total += invocation.kernel.host_cycles(invocation.granularity)
+            for row in segment.invocations.rows:
+                for cycles in row.host_cycles:
+                    total += cycles
         return total
 
 
@@ -399,70 +507,73 @@ class Microservice:
     # -- segment execution ------------------------------------------------------
 
     def _run_segment(self, thread: SimThread, segment: SegmentWork, context):
+        """Run one segment: its plain leaf pieces and every host-run
+        kernel call go to the CPU as one :class:`Burst`; an offloaded
+        call ends the burst so far and runs its offload state machine."""
         tracer = self.tracer
         span = None
         if tracer is not None and context.trace is not None:
             span = tracer.begin_segment(
                 context.trace, segment.functionality, self.engine.now
             )
-        if segment.plain_cycles > 0:
-            total_share = sum(segment.leaf_mix.values())
-            if total_share <= 0:
-                raise SimulationError("segment leaf_mix must have positive mass")
+        runs = []
+        plain = segment.plain_cycles
+        if plain > 0:
+            functionality = segment.functionality
+            total_share = segment._share_total
             for leaf, share in segment.leaf_mix.items():
-                cycles = segment.plain_cycles * share / total_share
+                cycles = plain * share / total_share
                 if cycles > 0:
-                    yield Compute(cycles, segment.functionality, leaf)
-        for invocation in segment.invocations:
-            yield from self._run_invocation(thread, segment, invocation, context)
+                    runs.append((functionality, leaf, None, (cycles,)))
+        for row in segment.invocations.rows:
+            kernel = row.kernel
+            config = self.offloads.get(kernel.name)
+            if config is None:
+                runs.append((
+                    kernel.functionality, kernel.leaf, kernel.name,
+                    row.host_cycles,
+                ))
+                continue
+            threshold = config.min_granularity
+            for granularity, host_cycles in zip(
+                row.granularities, row.host_cycles
+            ):
+                if granularity < threshold:
+                    runs.append((
+                        kernel.functionality, kernel.leaf, kernel.name,
+                        (host_cycles,),
+                    ))
+                    continue
+                if runs:
+                    yield Burst(runs)
+                    runs = []
+                yield from self._run_offload(
+                    thread, kernel, granularity, host_cycles, config, context
+                )
+        if runs:
+            yield Burst(runs)
         if tracer is not None and span is not None:
             tracer.end_segment(context.trace, span, self.engine.now)
-
-    def _run_invocation(
-        self,
-        thread: SimThread,
-        segment: SegmentWork,
-        invocation: KernelInvocation,
-        context: _RequestContext,
-    ):
-        kernel = invocation.kernel
-        config = self.offloads.get(kernel.name)
-        host_cycles = kernel.host_cycles(invocation.granularity)
-        offloadable = (
-            config is not None and invocation.granularity >= config.min_granularity
-        )
-        if not offloadable:
-            # Run on the host.
-            self.metrics.charge_kernel(
-                kernel.name, host_cycles, origin=kernel.functionality
-            )
-            if host_cycles > 0:
-                yield Compute(host_cycles, kernel.functionality, kernel.leaf)
-            return
-        yield from self._run_offload(
-            thread, invocation, host_cycles, config, context
-        )
 
     # -- offload state machines ---------------------------------------------------
 
     def _run_offload(
         self,
         thread: SimThread,
-        invocation: KernelInvocation,
+        kernel: KernelSpec,
+        granularity: float,
         host_cycles: float,
         config: OffloadConfig,
         context: _RequestContext,
     ):
-        kernel = invocation.kernel
         if config.batch_size > 1:
             # Batched kernels buffer here; the filling invocation runs
             # the doorbell through the same fault loop and async tail.
             yield from self._offload_async_batched(
-                thread, kernel, host_cycles, invocation.granularity, config,
-                context,
+                thread, kernel, host_cycles, granularity, config, context,
             )
             return
-        transfer = config.interface.transfer_cycles(invocation.granularity)
+        transfer = config.interface.transfer_cycles(granularity)
         dispatch = config.interface.dispatch_cycles
         extra_delay = 0.0
         injector = config.faults
@@ -479,7 +590,7 @@ class Microservice:
                 return
         record = OffloadRecord(
             kernel=kernel.name,
-            granularity=invocation.granularity,
+            granularity=granularity,
             dispatched_at=self.engine.now,
             service_cycles=config.device.service_cycles(host_cycles),
         )
@@ -606,8 +717,8 @@ class Microservice:
                 if tracer is not None and trace_ctx is not None:
                     trace_ctx.tag = "fallback"
                 yield from self._fall_back(
-                    kernel, host_cycles, count, covered, gated, counters,
-                    policy,
+                    thread, kernel, host_cycles, count, covered, gated,
+                    counters, policy,
                 )
                 if tracer is not None and trace_ctx is not None:
                     trace_ctx.tag = None
@@ -690,6 +801,7 @@ class Microservice:
 
     def _fall_back(
         self,
+        thread: SimThread,
         kernel: KernelSpec,
         host_cycles: float,
         count: int,
@@ -709,7 +821,8 @@ class Microservice:
             counters.fallbacks += count
             counters.fallback_cycles += host_cycles
             self.metrics.charge_kernel(
-                kernel.name, host_cycles, origin=kernel.functionality
+                kernel.name, host_cycles, origin=kernel.functionality,
+                ledger=thread.ledger,
             )
             if host_cycles > 0:
                 yield Compute(host_cycles, kernel.functionality, kernel.leaf)

@@ -64,18 +64,20 @@ def synthetic_request_factory(alpha: float):
     """Request factory of the synthetic service at kernel fraction *alpha*."""
     plain = _KERNEL_CYCLES * (1.0 - alpha) / alpha
     kernel = KernelSpec("k", F.IO, L.SSL, cycles_per_byte=_CB)
+    # Every request is the same immutable spec: build it once.
+    request = RequestSpec(
+        segments=(
+            SegmentWork(F.APPLICATION_LOGIC, plain_cycles=plain,
+                        leaf_mix={L.C_LIBRARIES: 1.0}),
+            SegmentWork(F.IO, invocations=tuple(
+                KernelInvocation(kernel, _GRANULARITY)
+                for _ in range(_KERNEL_CALLS)
+            )),
+        )
+    )
 
     def factory():
-        return RequestSpec(
-            segments=(
-                SegmentWork(F.APPLICATION_LOGIC, plain_cycles=plain,
-                            leaf_mix={L.C_LIBRARIES: 1.0}),
-                SegmentWork(F.IO, invocations=tuple(
-                    KernelInvocation(kernel, _GRANULARITY)
-                    for _ in range(_KERNEL_CALLS)
-                )),
-            )
-        )
+        return request
 
     return factory
 

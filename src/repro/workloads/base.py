@@ -32,7 +32,13 @@ from ..paperdata.categories import (
     LeafCategory,
 )
 from ..profiling.stacks import TraceTemplate
-from ..simulator.service import KernelInvocation, KernelSpec, RequestSpec, SegmentWork
+from ..simulator.service import (
+    KernelCalls,
+    KernelRow,
+    KernelSpec,
+    RequestSpec,
+    SegmentWork,
+)
 from ..simulator.workload import BlockSampler
 from .calibration import FUNCTIONALITIES, LEAVES, JointBreakdown, fit_joint
 
@@ -310,16 +316,26 @@ class ServiceWorkload:
             probs = np.asarray(dist.counts, dtype=float)
             probs = probs / probs.sum()
             for origin, rate in kernel.origin_rates.items():
+                spec = kernel.specs[origin]
+                # Host cycles once per distinct size, through the scalar
+                # KernelSpec.host_cycles every call used to take.
+                host_table = np.asarray(
+                    [spec.host_cycles(float(size)) for size in sizes_arr]
+                )
                 kernel_samplers.append(
                     (
                         origin,
-                        kernel.specs[origin],
+                        spec,
+                        sizes_arr,
+                        host_table,
                         BlockSampler(
                             lambda n, r=rate: rng.poisson(r, size=n)
                         ),
+                        # Choosing an index draws the same stream as
+                        # choosing the size itself.
                         BlockSampler(
-                            lambda n, s=sizes_arr, p=probs: rng.choice(
-                                s, size=n, p=p
+                            lambda n, k=len(sizes_arr), p=probs: rng.choice(
+                                k, size=n, p=p
                             )
                         ),
                     )
@@ -327,21 +343,21 @@ class ServiceWorkload:
 
         def factory() -> RequestSpec:
             scale = scale_sampler.next() if scale_sampler is not None else 1.0
-            invocations_by_origin: Dict[FunctionalityCategory, list] = {}
-            for origin, spec, count_sampler, size_sampler in kernel_samplers:
+            rows_by_origin: Dict[FunctionalityCategory, list] = {}
+            for (origin, spec, sizes_arr, host_table, count_sampler,
+                 index_sampler) in kernel_samplers:
                 count = int(count_sampler.next())
                 if count == 0:
                     continue
-                sizes = size_sampler.take(count)
-                invocations_by_origin.setdefault(origin, []).extend(
-                    KernelInvocation(kernel=spec, granularity=float(size))
-                    for size in sizes
-                )
+                picks = index_sampler.take(count)
+                rows_by_origin.setdefault(origin, []).append(KernelRow(
+                    spec, sizes_arr[picks].tolist(), host_table[picks].tolist()
+                ))
             segments = []
             for functionality in FUNCTIONALITIES:
                 cycles = plain[functionality] * scale
-                invocations = tuple(invocations_by_origin.get(functionality, ()))
-                if cycles <= 0 and not invocations:
+                rows = rows_by_origin.get(functionality)
+                if cycles <= 0 and not rows:
                     continue
                 segments.append(
                     SegmentWork(
@@ -349,7 +365,7 @@ class ServiceWorkload:
                         plain_cycles=cycles,
                         leaf_mix=leaf_mixes[functionality]
                         or {LeafCategory.MISCELLANEOUS: 1.0},
-                        invocations=invocations,
+                        invocations=KernelCalls(tuple(rows or ())),
                     )
                 )
             return RequestSpec(segments=tuple(segments))

@@ -23,11 +23,12 @@ from repro.core.strategies import ThreadingDesign
 
 from .conftest import FAULTED
 
-#: Pre-observability RunSummary fingerprints for
-#: characterize("cache1", seed=2020, num_cores=2, requests_target=...).
+#: RunSummary fingerprints for
+#: characterize("cache1", seed=2020, num_cores=2, requests_target=...),
+#: the golden digests of tests/runtime/test_golden_fingerprints.py.
 PINNED = {
-    30: "c216cf2c9587677255fda0b066d4589587991c47ccffb2ba6a1d5ff2e53549a2",
-    50: "ff046a8373079b8ad0d32051f563e256b9b0cd9d4edec5bfbc896841fd79d7d6",
+    30: "fd811b493e241e1e5f4b4bbb9ca63fc8010f5b1cffb220814fcdb8b889849f2f",
+    50: "c5e5320387428f9761fff19075b11e27caeb9a25f154b452016c51d912abff07",
 }
 
 

@@ -86,8 +86,9 @@ def test_points_are_picklable_frozen_dataclasses():
 
 
 def test_schema_version_was_bumped_for_fault_accounting():
-    """Fault-enabled summaries changed the measurement surface (v3), and
-    the observability layer changed the RunSummary pickle layout (v4):
-    the cache key salt must keep moving so stale entries become
-    unreachable instead of unpickling into the wrong shape."""
-    assert SCHEMA_VERSION == "accelerometer-runtime-v4"
+    """Fault-enabled summaries changed the measurement surface (v3), the
+    observability layer changed the RunSummary pickle layout (v4), and
+    order-independent accounting moved every summary's bits (v5): the
+    cache key salt must keep moving so stale entries become unreachable
+    instead of replaying into the wrong shape or the old bits."""
+    assert SCHEMA_VERSION == "accelerometer-runtime-v5"

@@ -147,6 +147,23 @@ class TestEngineContract:
         assert hits == [1, 2]
         assert engine.events_processed == 2
 
+    def test_drain_horizon(self, engine_class):
+        engine = engine_class()
+        seen = []
+        engine.after(2.0, lambda: seen.append(("run_until", engine.horizon)))
+        assert engine.horizon == 0.0
+        engine.run_until(5.0)
+        assert engine.horizon == engine.now == 5.0
+        engine.after(1.0, lambda: seen.append(("step", engine.horizon)))
+        engine.step()
+        assert engine.horizon == engine.now == 6.0
+        engine.after(1.0, lambda: seen.append(("drain", engine.horizon)))
+        engine.run_to_completion()
+        assert engine.horizon == engine.now == 7.0
+        assert seen == [
+            ("run_until", 5.0), ("step", float("inf")), ("drain", float("inf")),
+        ]
+
     def test_run_to_completion_drains_everything(self, engine_class):
         engine = engine_class()
         hits = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Placement, ThreadingDesign
+from repro.errors import SimulationError
 from repro.paperdata.categories import FunctionalityCategory as F, LeafCategory as L
 from repro.simulator import (
     CPU,
@@ -69,6 +70,48 @@ class TestRequestSpec:
     def test_total_host_cycles(self):
         spec = one_request(invocations=2, granularity=100, plain=1000)
         assert spec.total_host_cycles() == 1000 + 2 * 200
+
+
+class TestSegmentWorkValidation:
+    """Bad segment inputs fail at construction, not mid-simulation."""
+
+    def test_negative_share_rejected(self):
+        # Used to construct, report 100 host cycles and charge 200.
+        with pytest.raises(SimulationError, match="share"):
+            SegmentWork(F.IO, plain_cycles=100.0,
+                        leaf_mix={L.MEMORY: 2.0, L.KERNEL: -1.0})
+
+    def test_negative_plain_cycles_rejected(self):
+        with pytest.raises(SimulationError, match="plain_cycles"):
+            SegmentWork(F.IO, plain_cycles=-5.0)
+
+    @pytest.mark.parametrize("leaf_mix", [{}, {L.MEMORY: 0.0}])
+    def test_non_positive_mass_rejected(self, leaf_mix):
+        with pytest.raises(SimulationError, match="positive mass"):
+            SegmentWork(F.IO, plain_cycles=100.0, leaf_mix=leaf_mix)
+
+    def test_non_positive_mass_rejected_without_plain_cycles(self):
+        with pytest.raises(SimulationError, match="positive mass"):
+            SegmentWork(F.IO, leaf_mix={L.MEMORY: 0.0})
+
+    def test_negative_granularity_rejected(self):
+        with pytest.raises(SimulationError, match="granularity"):
+            SegmentWork(F.IO, invocations=(KernelInvocation(KERNEL, -1.0),))
+
+    def test_charges_match_reported_host_cycles(self):
+        spec = RequestSpec(segments=(
+            SegmentWork(F.IO, plain_cycles=100.0,
+                        leaf_mix={L.MEMORY: 2.0, L.KERNEL: 1.0}),
+        ))
+        _, metrics = run_service([spec])
+        assert metrics.useful_cycles() == spec.total_host_cycles() == 100.0
+
+    def test_invocations_read_as_calls(self):
+        segment = one_request(invocations=3).segments[1]
+        assert len(segment.invocations) == 3
+        assert list(segment.invocations) == [KernelInvocation(KERNEL, 100.0)] * 3
+        assert segment.invocations[1] == KernelInvocation(KERNEL, 100.0)
+        assert [len(row.host_cycles) for row in segment.invocations.rows] == [3]
 
 
 class TestLocalExecution:
